@@ -59,6 +59,7 @@ class WarmStrategyTracker:
         self.cold_solves = 0
         self.warm_solves = 0
         self.skipped = 0
+        self._grid: Optional[ScenarioGrid] = None
         self._prev: Optional[BatchStrategy] = None
         self._solved_exponent: Optional[float] = None
         self._strategy: Optional[OptimalStrategy] = None
@@ -79,6 +80,9 @@ class WarmStrategyTracker:
         Inside the dead-band the cached eq. 5 optimum is returned
         untouched; outside it the single-point grid is re-solved warm
         from the previous optimum (cold only on the very first call).
+        The grid is built and validated once, on that first call; a warm
+        re-solve swaps in only its exponent column
+        (:meth:`~repro.core.batch_solver.ScenarioGrid.replace`).
         """
         if (
             self._strategy is not None
@@ -90,17 +94,19 @@ class WarmStrategyTracker:
                 obs.counter("adaptive.tracker.skipped").add()
             return self._strategy
         obs = get_session()
-        grid = ScenarioGrid.from_product(self.scenario, exponent=[exponent])
-        if self._prev is None:
+        if self._grid is None:
+            grid = ScenarioGrid.from_product(self.scenario, exponent=[exponent])
             batch = solve_batch(grid, warm_start=False, check_conditions=False)
             self.cold_solves += 1
             if obs.enabled:
                 obs.counter("adaptive.tracker.cold_solves").add()
         else:
+            grid = self._grid.replace(exponent=exponent)
             batch = resolve_incremental(grid, self._prev, check_conditions=False)
             self.warm_solves += 1
             if obs.enabled:
                 obs.counter("adaptive.tracker.warm_solves").add()
+        self._grid = grid
         self._prev = batch
         self._solved_exponent = float(exponent)
         self._strategy = batch.strategy_at(0)

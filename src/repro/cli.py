@@ -867,8 +867,12 @@ def _serve(args: argparse.Namespace, out) -> int:
         print(f"--limit must be positive, got {args.limit}", file=sys.stderr)
         return 2
     try:
+        # Binary lines: read_stream decodes each one, so a line that is
+        # not UTF-8 is reported by number.
         source = (
-            nullcontext(sys.stdin) if args.source == "-" else open(args.source)
+            nullcontext(sys.stdin.buffer)
+            if args.source == "-"
+            else open(args.source, "rb")
         )
         with source as stream:
             for tick in service.run(read_stream(stream)):

@@ -33,7 +33,7 @@ an aliasing caller can never corrupt a cached coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -79,6 +79,68 @@ _METHODS = ("auto", "lemma2", "first-order", "scalar-min", "closed-form")
 
 def _column(value: object, dtype=np.float64) -> np.ndarray:
     return np.asarray(value, dtype=dtype)
+
+
+def _positive(column: np.ndarray) -> np.ndarray:
+    return np.isfinite(column) & (column > 0.0)
+
+
+def _integral(column: np.ndarray) -> np.ndarray:
+    return np.isfinite(column) & (column == np.floor(column))
+
+
+#: The pointwise domain rule of each grid column — the guards the scalar
+#: model stack enforces at construction — as ``(holds, message)``, where
+#: ``holds`` maps a column to its mask of valid entries (NaN fails every
+#: comparison, so it is never valid).
+_COLUMN_RULES: Mapping[str, tuple[Callable[[np.ndarray], np.ndarray], str]] = {
+    "alpha": (lambda c: (c >= 0.0) & (c <= 1.0), "alpha column must lie in [0, 1]"),
+    "gamma": (_positive, "gamma column must be positive and finite"),
+    "exponent": (
+        lambda c: (c > 0.0) & (c < 2.0),
+        "exponent column must lie in (0, 2) (paper eq. 6 domain; "
+        "s = 1 is representable and takes the limit branch)",
+    ),
+    "n_routers": (
+        lambda c: _integral(c) & (c >= 1.0),
+        "n_routers column must be a positive integer",
+    ),
+    "catalog_size": (
+        lambda c: _integral(c) & (c > 1.0),
+        "catalog_size column must be an integer > 1",
+    ),
+    "capacity": (_positive, "capacity column must be positive and finite"),
+    "unit_cost": (_positive, "unit_cost column must be positive and finite"),
+    "peer_delta": (_positive, "peer_delta column must be positive and finite"),
+    "access_latency": (
+        _positive,
+        "access_latency column must be positive and finite",
+    ),
+    "fixed_cost": (
+        lambda c: np.isfinite(c) & (c >= 0.0),
+        "fixed_cost column must be non-negative and finite",
+    ),
+    "cost_scale": (_positive, "cost_scale column must be positive and finite"),
+}
+
+
+def _column_violation(**columns: np.ndarray) -> Optional[str]:
+    """The first domain rule the given grid columns break, or ``None``.
+
+    Checks each column's pointwise rule, then, when both columns are
+    given, the bound ``capacity <= catalog_size`` at every point.
+    """
+    for name, column in columns.items():
+        holds, message = _COLUMN_RULES[name]
+        if not holds(column).all():
+            return message
+    capacity, catalog = columns.get("capacity"), columns.get("catalog_size")
+    if capacity is not None and catalog is not None and (capacity > catalog).any():
+        return (
+            "capacity column exceeds catalog_size at some grid point "
+            "(per-router c must satisfy c <= N, paper §III-B)"
+        )
+    return None
 
 
 class ScenarioGrid:
@@ -158,8 +220,8 @@ class ScenarioGrid:
             if col.ndim != 1:
                 col = col.ravel()
             columns[name] = col
-        # Rebind the parameters to their broadcast columns so every
-        # guard below tests the name it validates (R3 contract).
+        # Rebind the parameters to their broadcast columns so the guard
+        # tests the names it validates (R3 contract).
         alpha = columns["alpha"]
         gamma = columns["gamma"]
         exponent = columns["exponent"]
@@ -173,42 +235,22 @@ class ScenarioGrid:
         scale_c = columns["cost_scale"]
         if alpha.size == 0:
             raise ParameterError("scenario grid must contain at least one point")
-        if np.any(~np.isfinite(alpha)) or np.any((alpha < 0.0) | (alpha > 1.0)):
-            raise ParameterError("alpha column must lie in [0, 1]")
-        if np.any(~np.isfinite(gamma)) or np.any(gamma <= 0.0):
-            raise ParameterError("gamma column must be positive and finite")
-        if np.any(~np.isfinite(exponent)) or np.any(
-            (exponent <= 0.0) | (exponent >= 2.0)
-        ):
-            raise ParameterError(
-                "exponent column must lie in (0, 2) (paper eq. 6 domain; "
-                "s = 1 is representable and takes the limit branch)"
-            )
-        if np.any(~np.isfinite(n_c)) or np.any(n_c < 1.0) or np.any(n_c != np.floor(n_c)):
-            raise ParameterError("n_routers column must be a positive integer")
         if (
-            np.any(~np.isfinite(catalog_c))
-            or np.any(catalog_c <= 1.0)
-            or np.any(catalog_c != np.floor(catalog_c))
-        ):
-            raise ParameterError("catalog_size column must be an integer > 1")
-        if np.any(~np.isfinite(capacity)) or np.any(capacity <= 0.0):
-            raise ParameterError("capacity column must be positive and finite")
-        if np.any(capacity > catalog_c):
-            raise ParameterError(
-                "capacity column exceeds catalog_size at some grid point "
-                "(per-router c must satisfy c <= N, paper §III-B)"
+            problem := _column_violation(
+                alpha=alpha,
+                gamma=gamma,
+                exponent=exponent,
+                n_routers=n_c,
+                catalog_size=catalog_c,
+                capacity=capacity,
+                unit_cost=unit_cost_c,
+                peer_delta=peer_delta_c,
+                access_latency=access_c,
+                fixed_cost=fixed_c,
+                cost_scale=scale_c,
             )
-        if np.any(~np.isfinite(unit_cost_c)) or np.any(unit_cost_c <= 0.0):
-            raise ParameterError("unit_cost column must be positive and finite")
-        if np.any(~np.isfinite(peer_delta_c)) or np.any(peer_delta_c <= 0.0):
-            raise ParameterError("peer_delta column must be positive and finite")
-        if np.any(~np.isfinite(access_c)) or np.any(access_c <= 0.0):
-            raise ParameterError("access_latency column must be positive and finite")
-        if np.any(~np.isfinite(fixed_c)) or np.any(fixed_c < 0.0):
-            raise ParameterError("fixed_cost column must be non-negative and finite")
-        if np.any(~np.isfinite(scale_c)) or np.any(scale_c <= 0.0):
-            raise ParameterError("cost_scale column must be positive and finite")
+        ) is not None:
+            raise ParameterError(problem)
         for name, col in columns.items():
             col.flags.writeable = False
             setattr(self, name, col)
@@ -330,6 +372,45 @@ class ScenarioGrid:
             col = np.ascontiguousarray(getattr(self, name)[idx])
             col.flags.writeable = False
             setattr(out, name, col)
+        out._derived_cache = None
+        return out
+
+    def replace(self, **columns: object) -> "ScenarioGrid":
+        """This grid with the named columns replaced (Table IV fields).
+
+        Each new value broadcasts to :attr:`size` points and is checked
+        with the constructor's domain rules.  The other columns are this
+        grid's own read-only arrays, shared without a copy or a second
+        check — the contract of :meth:`subset` — so a warm re-solve that
+        moves one parameter (``grid.replace(exponent=s)``) pays for one
+        column only.
+        """
+        unknown = sorted(set(columns) - set(self._COLUMNS))
+        if unknown:
+            raise ParameterError(
+                f"unknown scenario field(s) {unknown}; expected among "
+                f"{list(self._COLUMNS)}"
+            )
+        replaced = {}
+        for name, value in columns.items():
+            try:
+                col = np.array(np.broadcast_to(_column(value), (self.size,)))
+            except (TypeError, ValueError) as exc:
+                raise ParameterError(
+                    f"{name} column must broadcast to the grid's "
+                    f"{self.size} points"
+                ) from exc
+            col.flags.writeable = False
+            replaced[name] = col
+        checked = dict(replaced)
+        if "capacity" in checked or "catalog_size" in checked:
+            checked.setdefault("capacity", self.capacity)
+            checked.setdefault("catalog_size", self.catalog_size)
+        if (problem := _column_violation(**checked)) is not None:
+            raise ParameterError(problem)
+        out = ScenarioGrid.__new__(ScenarioGrid)
+        for name in self._COLUMNS:
+            setattr(out, name, replaced.get(name, getattr(self, name)))
         out._derived_cache = None
         return out
 
@@ -1207,7 +1288,10 @@ def _resolve_incremental_impl(
                 f"{len(grid)}"
             )
     idx = np.flatnonzero(changed)
-    sub = grid.subset(idx) if idx.size else None
+    if idx.size == len(grid):
+        sub = grid  # every point changed: the subset would be a copy
+    else:
+        sub = grid.subset(idx) if idx.size else None
     # The Lemma 1 mask depends only on per-point parameters, so the
     # carry contract (unchanged mask entry ⇒ unchanged parameters) lets
     # a previous BatchStrategy carry its verdicts and re-checks only

@@ -197,3 +197,88 @@ class TestWarmNewtonMLE:
         assert again == pytest.approx(first, abs=1e-12)
         estimator.reset()
         assert estimator._last_estimate is None
+
+
+class TestInterpolatedScore:
+    """The online estimator's O(1) score against the exact O(N) sums."""
+
+    @staticmethod
+    def _windows(catalog, rng, count=40):
+        """Seeded rank windows, drawn past both bounds so some MLEs pin."""
+        log_ranks = np.log(np.arange(1, catalog + 1, dtype=np.float64))
+        windows = [np.ones(50, dtype=np.int64), np.arange(1, catalog + 1)]
+        for _ in range(count):
+            weights = np.exp(-rng.uniform(0.0, 3.0) * log_ranks)
+            size = int(rng.integers(1, 400))
+            windows.append(rng.choice(catalog, size, p=weights / weights.sum()) + 1)
+        order = rng.permutation(len(windows))
+        return [windows[i] for i in order]
+
+    @pytest.mark.parametrize("bounds", [(0.05, 1.95), (0.05, 2.5)])
+    @pytest.mark.parametrize("catalog", [2, 3, 1000, 50_000])
+    def test_estimate_within_1e10_of_exact_score(self, catalog, bounds):
+        from repro.adaptive.estimator import _score_interpolant, _solve_mle
+
+        assert _score_interpolant(catalog, *bounds) is not None
+        rng = np.random.default_rng(catalog)
+        estimator = ExponentEstimator(catalog, memory=0.0)
+        pinned = set()
+        for ranks in self._windows(catalog, rng):
+            estimator.observe(ranks)
+            got = estimator.estimate(bounds=bounds)
+            mean_log_rank = estimator._weighted_log_sum / estimator._weight
+            want = _solve_mle(mean_log_rank, catalog, bounds)
+            assert abs(got - want) <= 1e-10
+            if want in bounds:
+                pinned.add(want)
+        assert pinned == set(bounds)
+
+    def test_built_once_per_key_then_no_catalog_work(self, monkeypatch):
+        from repro.adaptive import estimator as est_mod
+
+        monkeypatch.setattr(est_mod, "_INTERPOLANT_CACHE", {})
+        exact = est_mod._exact_moments
+        calls = []
+
+        def counting(catalog_size, s):
+            calls.append(s)
+            return exact(catalog_size, s)
+
+        monkeypatch.setattr(est_mod, "_exact_moments", counting)
+        catalog = 50_000
+        model = ZipfModel(0.9, catalog)
+        rng = np.random.default_rng(21)
+        first = ExponentEstimator(catalog, memory=0.0)
+        first.observe(model.sample(500, rng))
+        first.estimate()
+        built = est_mod._INTERPOLANT_DEGREE + 1 + est_mod._INTERPOLANT_CHECKS
+        assert len(calls) == built
+        interpolant = est_mod._score_interpolant(catalog, 0.05, 1.95)
+        assert interpolant is not None
+
+        def forbidden(*args):
+            raise AssertionError("O(N) work after the interpolant was built")
+
+        monkeypatch.setattr(est_mod, "_exact_moments", forbidden)
+        monkeypatch.setattr(est_mod, "_minimize_fallback", forbidden)
+        second = ExponentEstimator(catalog, memory=0.0)
+        for exponent in (0.6, 0.9, 1.3, 1.9):
+            batch = ZipfModel(exponent, catalog).sample(500, rng)
+            first.observe(batch)
+            second.observe(batch)
+            assert first.estimate() == pytest.approx(second.estimate(), abs=1e-10)
+        assert est_mod._score_interpolant(catalog, 0.05, 1.95) is interpolant
+        assert len(calls) == built
+
+    def test_uncertified_key_keeps_exact_score(self, monkeypatch):
+        from repro.adaptive import estimator as est_mod
+
+        monkeypatch.setattr(est_mod, "_INTERPOLANT_CACHE", {})
+        monkeypatch.setattr(est_mod, "_INTERPOLANT_TOLERANCE", -1.0)
+        catalog = 2_000
+        estimator = ExponentEstimator(catalog)
+        estimator.observe(ZipfModel(0.8, catalog).sample(2_000, np.random.default_rng(4)))
+        got = estimator.estimate()
+        assert est_mod._INTERPOLANT_CACHE == {(catalog, 0.05, 1.95): None}
+        mean_log_rank = estimator._weighted_log_sum / estimator._weight
+        assert got == est_mod._solve_mle(mean_log_rank, catalog, (0.05, 1.95))

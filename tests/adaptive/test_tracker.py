@@ -114,6 +114,34 @@ class TestCountingModel:
         assert counters["adaptive.tracker.warm_solves"] == 1
 
 
+class TestWarmGrid:
+    def test_warm_solves_reuse_the_first_grid(self, monkeypatch):
+        from repro.core.batch_solver import ScenarioGrid
+
+        tracker = WarmStrategyTracker(make_scenario())
+        tracker.solve(0.8)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("a warm solve rebuilt the whole grid")
+
+        monkeypatch.setattr(ScenarioGrid, "from_product", rebuilt)
+        monkeypatch.setattr(ScenarioGrid, "__init__", rebuilt)
+        for exponent in (0.9, 1.0, 1.2):
+            level = tracker.solve(exponent).level
+            want = optimal_strategy(
+                make_scenario(exponent=exponent).model(), check_conditions=False
+            ).level
+            assert level == pytest.approx(want, abs=1e-9)
+        assert tracker.warm_solves == 3
+
+    def test_warm_solve_still_validates_the_exponent(self):
+        tracker = WarmStrategyTracker(make_scenario())
+        tracker.solve(0.8)
+        with pytest.raises(ParameterError):
+            tracker.solve(2.5)
+        assert tracker.solved_exponent == 0.8
+
+
 class TestDeadBand:
     def test_negative_dead_band_rejected(self):
         with pytest.raises(ParameterError):

@@ -144,6 +144,46 @@ class TestScenarioGrid:
                 assert not column.flags.writeable, name
 
 
+class TestGridReplace:
+    def test_matches_a_fresh_grid_and_shares_untouched_columns(self):
+        grid = ScenarioGrid.from_product(BASE, alpha=[0.2, 0.6, 0.9])
+        moved = grid.replace(exponent=[0.7, 1.0, 1.3], gamma=9.0)
+        columns = {name: getattr(grid, name) for name in ScenarioGrid._COLUMNS}
+        fresh = ScenarioGrid(**{**columns, "exponent": [0.7, 1.0, 1.3], "gamma": 9.0})
+        for name in ScenarioGrid._COLUMNS:
+            np.testing.assert_array_equal(getattr(moved, name), getattr(fresh, name))
+            assert not getattr(moved, name).flags.writeable
+        for name, column in moved.derived().items():
+            np.testing.assert_array_equal(column, fresh.derived()[name], err_msg=name)
+        assert moved.alpha is grid.alpha
+        assert grid.exponent.tolist() == [BASE.exponent] * 3  # original untouched
+
+    def test_copies_the_callers_array(self):
+        grid = ScenarioGrid(alpha=[0.3])
+        exponent = np.array([0.9])
+        moved = grid.replace(exponent=exponent)
+        exponent[0] = 1.9
+        assert moved.exponent.tolist() == [0.9]
+
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            {"exponent": 2.0},
+            {"exponent": [0.5, float("nan")]},
+            {"alpha": 1.5},
+            {"n_routers": 2.5},
+            {"capacity": 2e6},  # exceeds the grid's catalog_size
+            {"catalog_size": 10.0},  # falls below the grid's capacity
+            {"exponent": [0.5, 0.6, 0.7]},  # does not broadcast to 2 points
+            {"bogus": 1.0},
+        ],
+    )
+    def test_validates_only_what_it_replaces(self, columns):
+        grid = ScenarioGrid(alpha=[0.3, 0.4])
+        with pytest.raises(ParameterError):
+            grid.replace(**columns)
+
+
 class TestFirstOrderEquivalence:
     def test_random_grid_matches_scalar_within_tolerance(self):
         scenarios = random_scenarios(seed=11, count=40)

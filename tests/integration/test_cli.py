@@ -288,6 +288,20 @@ class TestServeCommand:
         code, _ = run_cli("serve", source, "-N", "100", "-c", "10", "-n", "5")
         assert code == 2
 
+    def test_non_utf8_input_fails_cleanly(self, tmp_path, capsys):
+        path = tmp_path / "stream.bin"
+        path.write_bytes(b"1 2 3\n\xff\xfe\n4 5\n")
+        code, text = run_cli("serve", str(path), "-N", "100", "-c", "10", "-n", "5")
+        assert code == 2
+        assert "tick    0" in text  # the good line before it was served
+        assert "line 2" in capsys.readouterr().err
+
+    def test_oversized_rank_fails_cleanly(self, tmp_path, capsys):
+        source = self.write_stream(tmp_path, ["1 2", "99999999999999999999"])
+        code, _ = run_cli("serve", source, "-N", "100", "-c", "10", "-n", "5")
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_obs_events_file(self, tmp_path):
         source = self.write_stream(tmp_path, ["1 1 2 3 1", "2 1 1 4 1"])
         events = tmp_path / "events.jsonl"

@@ -56,6 +56,49 @@ class TestParseLine:
         with pytest.raises(ParameterError):
             parse_line("3 four 5")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "1_000",  # int() accepts digit separators
+            "\u0661\u0662",  # Arabic-Indic digits, also int()-only
+            "4 \uff15",  # a full-width digit
+            "+5",
+            "+ 5",  # numpy's parser would read this as 5
+            "- 1",
+            "3 -",
+            "1\xa02",  # a non-ASCII space inside the payload
+            "2.0",
+            "0x1f",
+        ],
+    )
+    def test_only_unsigned_ascii_decimal_tokens_accepted(self, line):
+        with pytest.raises(ParameterError):
+            parse_line(line)
+
+    @pytest.mark.parametrize(
+        "line",
+        ["99999999999999999999", "9223372036854775807", "5 18446744073709551616"],
+    )
+    def test_oversized_rank_token_rejected(self, line):
+        # np.fromstring saturates these to the int64 maximum.
+        with pytest.raises(ParameterError, match="out of range"):
+            parse_line(line)
+
+    def test_largest_rank_token_parses_exactly(self):
+        batch = parse_line("9223372036854775806")
+        assert batch.ranks.tolist() == [2**63 - 2]
+
+    def test_matches_per_token_int_parsing(self):
+        """The one-call parse agrees with the per-token ``int()`` loop."""
+        rng = np.random.default_rng(0)
+        separators = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\r"]
+        for _ in range(200):
+            tokens = [str(r) for r in rng.integers(1, 10**12, rng.integers(1, 40))]
+            seps = rng.choice(separators, len(tokens))
+            line = "".join(t + s for t, s in zip(tokens, seps)) + "\n"
+            want = [int(token) for token in line.split()]
+            assert parse_line(line).ranks.tolist() == want
+
 
 class TestReadStream:
     def test_yields_one_batch_per_line(self):
@@ -66,3 +109,16 @@ class TestReadStream:
     def test_accepts_plain_string_iterables(self):
         batches = list(read_stream(["7 7 7", "# idle"]))
         assert [len(b) for b in batches] == [3, 0]
+
+    def test_decodes_utf8_byte_lines(self):
+        stream = io.BytesIO("1 2\n# caf\u00e9\n3\n".encode("utf-8"))
+        assert [len(b) for b in read_stream(stream)] == [2, 0, 1]
+
+    def test_non_utf8_line_is_named(self):
+        stream = io.BytesIO(b"1 2\n\xff\xfe 3\n")
+        with pytest.raises(ParameterError, match="line 2"):
+            list(read_stream(stream))
+
+    def test_malformed_line_is_named(self):
+        with pytest.raises(ParameterError, match="line 3"):
+            list(read_stream(["1", "", "2 x"]))

@@ -14,7 +14,7 @@ from repro.core import Scenario
 from repro.core.optimizer import optimal_strategy
 from repro.errors import ParameterError
 from repro.obs import session
-from repro.service import DeadBandPolicy, MeasurementBatch, OptimizerService
+from repro.service import DeadBandPolicy, MeasurementBatch, OptimizerService, parse_line
 from repro.service.policy import SOLVER_EXPONENT_CEILING
 
 
@@ -178,3 +178,58 @@ class TestObservability:
         assert "service.tracking_error" in gauges
         assert "service.tick" in metrics["spans"]
         assert "service.solve" in metrics["spans"]
+
+
+def drift_lines(seed, *, count=120, catalog=5_000, mean=50, idle=0.05, period=40):
+    """Wire-format lines like the serve-drift benchmark workload's.
+
+    Poisson(``mean``) ranks per line from a bounded continuous power law
+    with exponent ``s(t) = 1 + 0.4 sin(2πt / period)``, floored to
+    integer ranks; a share ``idle`` of the lines is blank.
+    """
+    rng = np.random.default_rng(seed)
+    sizes = rng.poisson(mean, count)
+    sizes[rng.random(count) < idle] = 0
+    exponent = np.repeat(1.0 + 0.4 * np.sin(2.0 * np.pi * np.arange(count) / period), sizes)
+    u = rng.random(int(sizes.sum()))
+    a = 1.0 - exponent
+    top = catalog + 1.0
+    flat = np.abs(a) < 1e-9
+    a_safe = np.where(flat, 1.0, a)
+    x = np.where(flat, top**u, (1.0 + u * (top**a_safe - 1.0)) ** (1.0 / a_safe))
+    ranks = np.clip(np.floor(x), 1, catalog).astype(np.int64)
+    return [" ".join(map(str, line.tolist())) for line in np.split(ranks, np.cumsum(sizes)[:-1])]
+
+
+class TestDriftReplay:
+    """Interpolated score vs the exact score over a drifting wire stream."""
+
+    @staticmethod
+    def _replay(scenario, lines):
+        service = OptimizerService(
+            scenario, memory=0.6, policy=DeadBandPolicy(dead_band=0.01)
+        )
+        return list(service.run(parse_line(line) for line in lines))
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_ticks_match_exact_score_replay(self, seed, monkeypatch):
+        from repro.adaptive import estimator as est_mod
+
+        scenario = Scenario(alpha=0.6, n_routers=20, capacity=50.0, catalog_size=5_000)
+        lines = ["", *drift_lines(seed)]  # opens with an idle tick
+        fast = self._replay(scenario, lines)
+        monkeypatch.setattr(est_mod, "_score_interpolant", lambda *key: None)
+        exact = self._replay(scenario, lines)
+        assert [(t.action, t.clamped) for t in fast] == [
+            (t.action, t.clamped) for t in exact
+        ]
+        assert {t.action for t in fast} == {"idle", "cold", "warm", "skipped"}
+        for tick, reference in zip(fast, exact):
+            if tick.estimate is not None:
+                assert abs(tick.estimate - reference.estimate) <= 1e-10
+            if tick.action in ("cold", "warm"):
+                want = optimal_strategy(
+                    scenario.replace(exponent=tick.estimate).model(),
+                    check_conditions=False,
+                )
+                assert abs(tick.level - want.level) <= 1e-9
