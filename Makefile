@@ -17,11 +17,10 @@ install:
 # R1-R10, see DESIGN.md "Static analysis & invariants") plus ruff and
 # mypy when installed (pip install -e '.[dev]'); both are skipped with
 # a notice on bare containers so `make lint` stays runnable everywhere
-# the test suite is.  Warm runs are served from .lint-cache/ and the
-# committed baseline (kept empty by policy) gates on *new* findings;
-# `make lint-full` bypasses both for a from-scratch audit.
+# the test suite is.  Warm runs are served from .lint-cache/;
+# `make lint-full` bypasses the cache for a from-scratch audit.
 lint:
-	$(PYTHON) -m repro.lint --baseline lint-baseline.json src/ tests/
+	$(PYTHON) -m repro.lint src/ tests/
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src/repro; \
 	else \
@@ -33,8 +32,8 @@ lint:
 		echo "mypy not installed; skipping (pip install -e '.[dev]')"; \
 	fi
 
-# Cache-bypassing audit run: re-parses and re-lints every file and
-# ignores the baseline, so it sees exactly what a fresh checkout sees.
+# Cache-bypassing audit run: re-parses and re-lints every file, so it
+# sees exactly what a fresh checkout sees.
 lint-full:
 	$(PYTHON) -m repro.lint --no-cache src/ tests/
 

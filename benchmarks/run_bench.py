@@ -162,7 +162,7 @@ def _bench_dynamic(
     }
 
 
-def _bench_sweep(parallel: int | str | None) -> dict:
+def _bench_sweep(solver: str) -> dict:
     alphas = [round(0.05 + 0.9 * i / 11, 4) for i in range(12)]
     start = time.perf_counter()
     series = sweep(
@@ -172,13 +172,13 @@ def _bench_sweep(parallel: int | str | None) -> dict:
         quantity="level",
         curve_field="gamma",
         curve_values=(2.0, 5.0, 10.0),
-        parallel=parallel,
+        solver=solver,
     )
     elapsed = time.perf_counter() - start
     points = sum(len(s.x) for s in series)
     return {
         "grid_points": points,
-        "parallel": parallel,
+        "solver": solver,
         "wall_s": round(elapsed, 4),
     }
 
@@ -409,7 +409,7 @@ def _bench_approx_grid(quick: bool, *, repeats: int = 3) -> dict:
 
 
 def _bench_sweep_dense(quick: bool) -> dict:
-    """A dense figure-style sweep through the batched dispatch path."""
+    """A dense figure-style sweep through the default batched solver."""
     n_alpha = 20 if quick else 80
     alphas = [round(0.01 + 0.98 * i / (n_alpha - 1), 6) for i in range(n_alpha)]
     start = time.perf_counter()
@@ -420,13 +420,12 @@ def _bench_sweep_dense(quick: bool) -> dict:
         quantity="level",
         curve_field="gamma",
         curve_values=(1.0, 2.0, 5.0, 10.0, 12.0),
-        parallel="auto",
     )
     elapsed = time.perf_counter() - start
     points = sum(len(s.x) for s in series)
     return {
         "grid_points": points,
-        "parallel": "auto",
+        "solver": "batched",
         "wall_s": round(elapsed, 4),
         "rps": round(points / elapsed, 1),
     }
@@ -635,8 +634,8 @@ def run(quick: bool) -> dict:
         "dynamic_lru_scalar": _bench_dynamic(
             dynamic_scalar_requests, batched=False, repeats=2
         ),
-        "sweep_serial": _bench_sweep(None),
-        "sweep_auto": _bench_sweep("auto"),
+        "sweep_serial": _bench_sweep("scalar"),
+        "sweep_auto": _bench_sweep("batched"),
         "sweep_dense": _bench_sweep_dense(quick),
         "solver_batch": _bench_solver_batch(quick),
         "solver_warm_resolve": _bench_solver_warm_resolve(quick),
@@ -679,7 +678,6 @@ def run(quick: bool) -> dict:
         results["dynamic_lru_fully_coordinated"] = _bench_dynamic(
             dynamic_requests, level=1.0
         )
-        results["sweep_parallel_4"] = _bench_sweep(4)
         results["large_catalog"] = _bench_large_catalog(200_000, 1_000_000)
     results["lint_full_tree"] = _bench_lint_full_tree()
     results["zipf_tables"] = _bench_zipf_tables(

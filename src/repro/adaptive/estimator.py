@@ -34,7 +34,6 @@ from typing import Callable, Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev
-from scipy import optimize as _scipy_optimize
 
 from ..core.zipf import harmonic_number
 from ..errors import ConvergenceError, ParameterError
@@ -94,7 +93,11 @@ def _minimize_fallback(
     def negative_log_likelihood(s: float) -> float:
         return s * mean_log_rank + math.log(harmonic_number(catalog_size, s))
 
-    result = _scipy_optimize.minimize_scalar(
+    # Imported here: only catalogs too large for the tabulated score
+    # reach this fallback, and scipy.optimize is slow to import.
+    from scipy import optimize
+
+    result = optimize.minimize_scalar(
         negative_log_likelihood, bounds=(lo, hi), method="bounded",
         options={"xatol": 1e-8},
     )

@@ -10,7 +10,7 @@ rows/series; EXPERIMENTS.md records paper-vs-measured values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from ..catalog.popularity import ZipfModel
 from ..catalog.workload import IRMWorkload, SequenceWorkload
@@ -245,8 +245,7 @@ def table4_settings() -> TableData:
 
 def figure4_level_vs_alpha(
     *, alphas: Sequence[float] = ALPHA_GRID, gammas: Sequence[float] = FIGURE_GAMMAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 4: optimal level ℓ* versus trade-off weight α, per γ."""
     series = sweep(
@@ -257,7 +256,6 @@ def figure4_level_vs_alpha(
         curve_field="gamma",
         curve_values=gammas,
         curve_label=lambda g: f"gamma={g:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -274,8 +272,7 @@ def figure5_level_vs_exponent(
     *,
     exponents: Sequence[float] = EXPONENT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 5: optimal level ℓ* versus Zipf exponent s, per α."""
     series = sweep(
@@ -286,7 +283,6 @@ def figure5_level_vs_exponent(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -303,8 +299,7 @@ def figure6_level_vs_routers(
     *,
     router_counts: Sequence[int] = ROUTER_COUNT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 6: optimal level ℓ* versus network size n, per α."""
     series = sweep(
@@ -315,7 +310,6 @@ def figure6_level_vs_routers(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -332,8 +326,7 @@ def figure7_level_vs_unit_cost(
     *,
     unit_costs: Sequence[float] = UNIT_COST_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 7: optimal level ℓ* versus unit coordination cost w, per α."""
     series = sweep(
@@ -344,7 +337,6 @@ def figure7_level_vs_unit_cost(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -364,8 +356,7 @@ def figure7_level_vs_unit_cost(
 
 def figure8_origin_gain_vs_alpha(
     *, alphas: Sequence[float] = ALPHA_GRID, gammas: Sequence[float] = FIGURE_GAMMAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 8: origin load reduction G_O versus α, per γ."""
     series = sweep(
@@ -376,7 +367,6 @@ def figure8_origin_gain_vs_alpha(
         curve_field="gamma",
         curve_values=gammas,
         curve_label=lambda g: f"gamma={g:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -393,8 +383,7 @@ def figure9_origin_gain_vs_exponent(
     *,
     exponents: Sequence[float] = EXPONENT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 9: origin load reduction G_O versus Zipf exponent s, per α."""
     series = sweep(
@@ -405,7 +394,6 @@ def figure9_origin_gain_vs_exponent(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -422,8 +410,7 @@ def figure10_origin_gain_vs_routers(
     *,
     router_counts: Sequence[int] = ROUTER_COUNT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 10: origin load reduction G_O versus network size n, per α."""
     series = sweep(
@@ -434,7 +421,6 @@ def figure10_origin_gain_vs_routers(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -451,8 +437,7 @@ def figure11_origin_gain_vs_unit_cost(
     *,
     unit_costs: Sequence[float] = UNIT_COST_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 11: origin load reduction G_O versus unit cost w, per α."""
     series = sweep(
@@ -463,7 +448,6 @@ def figure11_origin_gain_vs_unit_cost(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -483,8 +467,7 @@ def figure11_origin_gain_vs_unit_cost(
 
 def figure12_routing_gain_vs_alpha(
     *, alphas: Sequence[float] = ALPHA_GRID, gammas: Sequence[float] = FIGURE_GAMMAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 12: routing performance improvement G_R versus α, per γ."""
     series = sweep(
@@ -495,7 +478,6 @@ def figure12_routing_gain_vs_alpha(
         curve_field="gamma",
         curve_values=gammas,
         curve_label=lambda g: f"gamma={g:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(
@@ -512,8 +494,7 @@ def figure13_routing_gain_vs_exponent(
     *,
     exponents: Sequence[float] = EXPONENT_GRID,
     alphas: Sequence[float] = CURVE_ALPHAS,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> FigureData:
     """Figure 13: routing performance improvement G_R versus s, per α."""
     series = sweep(
@@ -524,7 +505,6 @@ def figure13_routing_gain_vs_exponent(
         curve_field="alpha",
         curve_values=alphas,
         curve_label=lambda a: f"alpha={a:g}",
-        parallel=parallel,
         solver=solver,
     )
     return FigureData(

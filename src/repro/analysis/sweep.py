@@ -5,24 +5,20 @@ field varies along the x-axis, one field distinguishes the curves, and
 some scalar of the solved optimum (``ℓ*``, ``G_O`` or ``G_R``) is the
 y-value.  :func:`sweep` runs exactly that and returns structured
 :class:`Series`/:class:`FigureData` objects the benchmarks and the CLI
-render.  Grid points are independent, so ``sweep(..., parallel=k)``
-fans them out over ``k`` worker processes (results are ordered by grid
-position either way, so parallel and serial sweeps are identical).
+render.
 
-The default ``parallel="auto"`` prefers the *vectorized* path: all
-three built-in quantities are analytical, so the whole grid is handed
-to :func:`repro.core.batch_solver.solve_batch` as one
-structure-of-arrays solve (~40 array bisection iterations total) —
-process pools only make sense for future simulation-backed quantities,
-where per-point work is large enough to amortize spawning workers (see
-:func:`resolve_parallel` for the decision table).
+``solver=`` is the one knob that picks how a grid is answered (see
+:data:`SOLVERS`).  The default, ``"batched"``, hands the whole grid to
+:func:`repro.core.batch_solver.solve_batch` as one structure-of-arrays
+solve (~40 array bisection iterations total); ``"scalar"`` solves each
+point with the :func:`~repro.core.optimizer.optimal_strategy` oracle;
+``"approx"`` answers from the Che/TTL approximation layer.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..approx.batch import approx_batch
 from ..core.batch_solver import ScenarioGrid, evaluate_gains_batch, solve_batch
@@ -30,17 +26,14 @@ from ..core.gains import evaluate_gains
 from ..core.optimizer import optimal_strategy
 from ..core.scenario import Scenario
 from ..errors import ParameterError
-from ..obs import available_cpus, get_session, session as obs_session
+from ..obs import get_session
 
 __all__ = [
     "Series",
     "FigureData",
     "QUANTITIES",
-    "ANALYTICAL_QUANTITIES",
     "SOLVERS",
-    "AUTO_PARALLEL_MIN_POINTS_PER_WORKER",
     "solve_quantity",
-    "resolve_parallel",
     "sweep",
 ]
 
@@ -120,23 +113,6 @@ QUANTITIES: Mapping[str, Callable[[Scenario], float]] = {
     "routing_gain": _solve_routing_gain,
 }
 
-#: Quantities solvable by the closed analytical model (eqs. 5–8) — i.e.
-#: by one vectorized :func:`~repro.core.batch_solver.solve_batch` pass.
-#: Simulation-backed quantities added later must stay out of this set so
-#: ``parallel="auto"`` falls back to process fan-out for them.
-ANALYTICAL_QUANTITIES = frozenset(QUANTITIES)
-
-#: Back-end selectors for :func:`sweep`.  ``"auto"`` keeps the historic
-#: behaviour (``parallel`` decides between the vectorized analytical
-#: batch, serial scalar solves and process fan-out); ``"scalar"`` and
-#: ``"batched"`` pin those two analytical paths explicitly; ``"approx"``
-#: swaps the closed-form model for the Che/TTL approximation layer
-#: (:func:`repro.approx.batch.approx_batch`), answering the same three
-#: quantities under *dynamic* replacement (LRU by default) instead of
-#: the paper's idealized placement.
-SOLVERS = ("auto", "scalar", "batched", "approx")
-
-
 def solve_quantity(scenario: Scenario, quantity: str) -> float:
     """Solve one scenario for one named quantity (``level``, ``origin_gain``, ``routing_gain``)."""
     try:
@@ -148,54 +124,26 @@ def solve_quantity(scenario: Scenario, quantity: str) -> float:
     return fn(scenario)
 
 
-def _solve_point(payload: tuple[Scenario, str]) -> float:
-    """Worker entry point: one ``(scenario, quantity)`` grid point.
-
-    Module-level (not a closure) so it pickles into
-    ``ProcessPoolExecutor`` workers.
-    """
-    scenario, quantity = payload
-    return solve_quantity(scenario, quantity)
-
-
-def _solve_point_observed(payload: tuple[Scenario, str]) -> tuple[float, dict]:
-    """Worker entry point when the parent has an active obs session.
-
-    The worker cannot record into the parent's session (different
-    process), so it opens a local capture session, solves its point
-    under a ``sweep.point`` span, and ships the session snapshot back
-    with the result; the parent merges snapshots in grid order —
-    deterministic regardless of pool scheduling.
-    """
-    with obs_session() as capture:
-        with capture.span("sweep.point"):
-            y = _solve_point(payload)
-    return y, capture.snapshot()
-
-
-def _solve_serial(payloads: Sequence[tuple[Scenario, str]]) -> list[float]:
-    """Serial grid solve with a per-point span (no-op cheap by default)."""
+def _solve_scalar(scenarios: Sequence[Scenario], quantity: str) -> list[float]:
+    """Per-point scalar solve with a per-point span (no-op cheap by default)."""
     obs = get_session()
     results = []
-    for payload in payloads:
+    for scenario in scenarios:
         with obs.span("sweep.point"):
-            results.append(_solve_point(payload))
+            results.append(solve_quantity(scenario, quantity))
     return results
 
 
-def _solve_batched(payloads: Sequence[tuple[Scenario, str]]) -> list[float]:
+def _solve_batched(scenarios: Sequence[Scenario], quantity: str) -> list[float]:
     """Vectorized grid solve: one batched eq. 5 pass over all points.
 
-    Columnizes the payload scenarios into a
+    Columnizes the scenarios into a
     :class:`~repro.core.batch_solver.ScenarioGrid` and solves every
     point with a single :func:`~repro.core.batch_solver.solve_batch`
     call (which records its own ``solver.batch`` span and points/s
-    gauge).  Only called when every payload shares one quantity from
-    :data:`ANALYTICAL_QUANTITIES`; results are ordered like
-    ``payloads``, exactly as the serial and process paths order theirs.
+    gauge); results are ordered like ``scenarios``.
     """
-    quantity = payloads[0][1]
-    grid = ScenarioGrid.from_scenarios(scenario for scenario, _ in payloads)
+    grid = ScenarioGrid.from_scenarios(scenarios)
     strategy = solve_batch(grid, check_conditions=False)
     if quantity == "level":
         ys = strategy.level
@@ -206,18 +154,17 @@ def _solve_batched(payloads: Sequence[tuple[Scenario, str]]) -> list[float]:
     return [float(y) for y in ys]
 
 
-def _solve_approx(payloads: Sequence[tuple[Scenario, str]]) -> list[float]:
+def _solve_approx(scenarios: Sequence[Scenario], quantity: str) -> list[float]:
     """Whole-grid solve through the Che/TTL approximation layer.
 
-    Columnizes the payload scenarios exactly like :func:`_solve_batched`
-    but hands the grid to :func:`repro.approx.batch.approx_batch`, which
+    Columnizes the scenarios exactly like :func:`_solve_batched` but
+    hands the grid to :func:`repro.approx.batch.approx_batch`, which
     re-optimizes the coordination level per point under approximated
     LRU dynamics (memoized per-``(N, s, c, n)`` fixed points; records
     its own ``approx.batch`` span and points/s gauge).  The three sweep
     quantities map directly onto the result columns.
     """
-    quantity = payloads[0][1]
-    grid = ScenarioGrid.from_scenarios(scenario for scenario, _ in payloads)
+    grid = ScenarioGrid.from_scenarios(scenarios)
     result = approx_batch(grid)
     if quantity == "level":
         ys = result.level
@@ -228,131 +175,21 @@ def _solve_approx(payloads: Sequence[tuple[Scenario, str]]) -> list[float]:
     return [float(y) for y in ys]
 
 
-#: Minimum grid points each ``parallel="auto"`` worker must amortize.
-#: One analytical point solves in well under a millisecond, while
-#: spawning a worker process costs tens of milliseconds (interpreter
-#: start + module imports + payload pickling), so a pool only pays for
-#: itself when every worker gets a few hundred points.  Below the
-#: threshold ``auto`` stays serial — the regression this fixes was a
-#: 4-worker pool taking ~5x longer than the serial solve on a
-#: figure-sized grid.
-AUTO_PARALLEL_MIN_POINTS_PER_WORKER = 256
+_SOLVE_GRID: Mapping[str, Callable[[Sequence[Scenario], str], list[float]]] = {
+    "batched": _solve_batched,
+    "scalar": _solve_scalar,
+    "approx": _solve_approx,
+}
 
-
-def resolve_parallel(
-    parallel: Union[int, str, None],
-    n_points: int,
-    *,
-    analytical: bool = False,
-    sharded: bool = False,
-) -> int:
-    """Resolve a ``parallel`` request into a concrete worker count.
-
-    ``0`` means "no pool" — solve in-process (serial scalar, or the
-    vectorized batch path when the caller has one).  CPU budgets come
-    from :func:`repro.obs.available_cpus` — the CPUs this *process* may
-    run on, not the machine's nominal count (under container/affinity
-    limits ``os.cpu_count`` overstates the pool a worker can use).
-    The decision table:
-
-    ============  =======================  ================================
-    request       analytical quantities    simulation-backed quantities
-    ============  =======================  ================================
-    ``None``      0 (serial)               0 (serial)
-    ``0`` / ``1``  0 (serial)               0 (serial)
-    ``k >= 2``    ``k`` workers (explicit  ``k`` workers
-                  request overrides the
-                  heuristic)
-    ``"auto"``    0 — the vectorized       ``available_cpus()`` workers,
-                  solver beats any pool:   capped so each amortizes at
-                  a whole grid solves in   least
-                  ~40 array iterations,    :data:`AUTO_PARALLEL_MIN_POINTS_PER_WORKER`
-                  while spawning alone     points (0 below the threshold:
-                  costs tens of ms (the    process spin-up costs more than
-                  BENCH_pr4 inversion:     small grids)
-                  auto 0.0315 s vs serial
-                  0.0223 s on 36 points)
-    ============  =======================  ================================
-
-    ``sharded=True`` selects the region-sharded simulation profile
-    instead: each of the ``n_points`` work items (client regions) is a
-    long-running simulation, so there is no per-point amortization
-    floor — ``"auto"`` is simply ``min(available_cpus(), n_points)``,
-    matching how :func:`repro.simulation.sharded.run_sharded` sizes its
-    own pool.
-
-    Any other string is a :class:`~repro.errors.ParameterError`.
-    """
-    if parallel is None:
-        return 0
-    if isinstance(parallel, str):
-        if parallel != "auto":
-            raise ParameterError(
-                f"parallel must be a worker count or 'auto', got {parallel!r}"
-            )
-        workers = available_cpus()
-        if sharded:
-            return max(min(workers, n_points), 1)
-        if analytical:
-            return 0
-        return min(workers, n_points // AUTO_PARALLEL_MIN_POINTS_PER_WORKER)
-    if int(parallel) != parallel or parallel < 0:
-        raise ParameterError(
-            f"parallel must be a non-negative integer worker count, got {parallel}"
-        )
-    return int(parallel)
-
-
-def _solve_grid(
-    payloads: Sequence[tuple[Scenario, str]],
-    parallel: Union[int, str, None],
-    solver: str = "auto",
-) -> list[float]:
-    """Solve every grid point, serially or across worker processes.
-
-    The returned list is ordered like ``payloads`` in both modes, so the
-    ``parallel`` knob never changes sweep output.  Falls back to the
-    serial path when worker processes cannot be spawned (restricted
-    sandboxes raise ``OSError``).  With an active obs session, parallel
-    workers capture per-worker metrics/spans that are merged back in
-    grid order (see :mod:`repro.obs.session`).
-
-    ``parallel="auto"`` dispatches uniform analytical grids to the
-    vectorized batch solver (one whole-grid bisection instead of
-    per-point scalar solves); explicit worker counts keep the scalar
-    per-point path so the process pool remains independently testable
-    against it.
-    """
-    quantities = {quantity for _, quantity in payloads}
-    analytical = quantities <= ANALYTICAL_QUANTITIES
-    if solver == "approx":
-        return _solve_approx(payloads)
-    if solver == "batched":
-        return _solve_batched(payloads)
-    if solver == "scalar":
-        analytical = False  # fall through to serial / process fan-out
-    if parallel == "auto" and analytical and len(quantities) == 1:
-        return _solve_batched(payloads)
-    parallel = resolve_parallel(parallel, len(payloads), analytical=analytical)
-    if parallel in (0, 1) or len(payloads) <= 1:
-        return _solve_serial(payloads)
-    obs = get_session()
-    chunksize = max(1, len(payloads) // (int(parallel) * 4))
-    try:
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=int(parallel)
-        ) as pool:
-            if not obs.enabled:
-                return list(pool.map(_solve_point, payloads, chunksize=chunksize))
-            observed = list(
-                pool.map(_solve_point_observed, payloads, chunksize=chunksize)
-            )
-    except OSError:
-        return _solve_serial(payloads)
-    obs.counter("sweep.worker_snapshots").add(len(observed))
-    for _, snapshot in observed:
-        obs.merge_snapshot(snapshot)
-    return [y for y, _ in observed]
+#: Back-end selectors for :func:`sweep`; the first is the default.
+#: ``"batched"`` solves the whole grid with one vectorized eq. 5 pass;
+#: ``"scalar"`` solves point by point with the scalar oracle (one
+#: ``sweep.point`` span each); ``"approx"`` swaps the closed-form model
+#: for the Che/TTL approximation layer
+#: (:func:`repro.approx.batch.approx_batch`), answering the same three
+#: quantities under *dynamic* replacement (LRU by default) instead of
+#: the paper's idealized placement.
+SOLVERS = tuple(_SOLVE_GRID)
 
 
 def sweep(
@@ -364,8 +201,7 @@ def sweep(
     curve_field: Optional[str] = None,
     curve_values: Sequence[float] = (),
     curve_label: Optional[Callable[[float], str]] = None,
-    parallel: Union[int, str, None] = "auto",
-    solver: str = "auto",
+    solver: str = "batched",
 ) -> tuple[Series, ...]:
     """Run a 1-D sweep, optionally fanned out into multiple curves.
 
@@ -382,23 +218,15 @@ def sweep(
     curve_label:
         Formats a curve value into a series label; defaults to
         ``"{field}={value}"``.
-    parallel:
-        ``"auto"`` (the default) solves analytical grids with one
-        vectorized batch pass (and would size a process pool for
-        future simulation-backed quantities; see
-        :func:`resolve_parallel`).  ``None``/``0``/``1`` solve serially
-        with the scalar oracle; an explicit worker count fans scalar
-        solves over that many processes.  Grid order is preserved in
-        every mode, and all modes agree per point to well below 1e-9
-        (the batched path is bit-identical except where Theorem 2 warm
-        starts shrink the bisection bracket).
     solver:
-        Which model backs the y-values (one of :data:`SOLVERS`).
-        ``"auto"`` lets ``parallel`` pick among the analytical paths;
-        ``"scalar"``/``"batched"`` pin those explicitly; ``"approx"``
-        answers the same quantities from the Che/TTL approximation of
-        LRU dynamics (:mod:`repro.approx`) — one vectorized pass,
-        ``parallel`` is ignored.
+        Which solver backs the y-values (one of :data:`SOLVERS`).
+        ``"batched"`` (the default) solves the grid in one vectorized
+        pass; ``"scalar"`` solves it point by point with the scalar
+        oracle, and agrees with ``"batched"`` per point to well below
+        1e-9 (bit-identical except where Theorem 2 warm starts shrink
+        the bisection bracket); ``"approx"`` answers the same
+        quantities from the Che/TTL approximation of LRU dynamics
+        (:mod:`repro.approx`).  Grid order is preserved in every mode.
     """
     if quantity not in QUANTITIES:
         raise ParameterError(
@@ -425,21 +253,19 @@ def sweep(
             return curve_label(value)  # type: ignore[arg-type]
         return f"{curve_field}={value}"
 
-    payloads: list[tuple[Scenario, str]] = []
+    scenarios: list[Scenario] = []
     for curve_value in curve_values:
         scenario = (
             base
             if curve_field is None
             else base.replace(**{curve_field: curve_value})
         )
-        payloads.extend(
-            (scenario.replace(**{x_field: xv}), quantity) for xv in x_values
-        )
+        scenarios.extend(scenario.replace(**{x_field: xv}) for xv in x_values)
     obs = get_session()
     with obs.span("sweep.grid"):
-        ys = _solve_grid(payloads, parallel, solver)
+        ys = _SOLVE_GRID[solver](scenarios, quantity)
     if obs.enabled:
-        obs.counter("sweep.grid_points").add(len(payloads))
+        obs.counter("sweep.grid_points").add(len(scenarios))
         obs.counter("sweep.grids").add()
 
     result: list[Series] = []

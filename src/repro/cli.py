@@ -28,19 +28,21 @@ from __future__ import annotations
 import argparse
 import inspect
 import sys
+from pathlib import Path
 from typing import Optional, Sequence
 
 from .analysis.experiments import ALL_EXPERIMENTS, TableData
 from .analysis.export import export_result
-from .analysis.sweep import FigureData
+from .analysis.sweep import SOLVERS, FigureData
 from .analysis.tables import render_figure, render_table
 from .core.scenario import Scenario
+from .errors import ReproError
 
 __all__ = ["main", "build_parser"]
 
 
-def _parallel_workers(value: str):
-    """``--parallel`` argument: an integer worker count or ``auto``."""
+def _shard_count(value: str):
+    """``--shards`` argument: an integer worker count or ``auto``."""
     if value == "auto":
         return value
     try:
@@ -82,28 +84,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the result to a file instead of stdout",
     )
     run.add_argument(
-        "--parallel",
-        type=_parallel_workers,
-        nargs="?",
-        const="auto",
-        default=None,
-        metavar="N",
-        help=(
-            "solve sweep grid points across N worker processes; a bare "
-            "--parallel means 'auto' (pool sized to the grid, serial for "
-            "small grids); figure experiments only, output is identical "
-            "to serial"
-        ),
-    )
-    run.add_argument(
         "--solver",
-        choices=("auto", "scalar", "batched", "approx"),
-        default="auto",
+        choices=SOLVERS,
+        default=SOLVERS[0],
         help=(
-            "model backing sweep figures: the closed analytical form "
-            "('auto' picks scalar vs batched) or the Che/TTL "
-            "approximation of LRU dynamics ('approx'); figure "
-            "experiments only"
+            "solver backing sweep figures: the closed analytical form, "
+            "solved as one vectorized grid ('batched', the default) or "
+            "point by point ('scalar'), or the Che/TTL approximation of "
+            "LRU dynamics ('approx'); figure experiments only"
         ),
     )
     run.add_argument(
@@ -186,13 +174,13 @@ def build_parser() -> argparse.ArgumentParser:
     scale.add_argument("--metric", choices=("hops", "latency"), default="hops")
     scale.add_argument(
         "--shards",
-        type=_parallel_workers,
+        type=_shard_count,
         default="auto",
         metavar="N",
         help=(
-            "worker processes for the region shards: an integer or "
-            "'auto' (available CPUs, capped at the region count); "
-            "results are identical for every value"
+            "worker processes for the region shards: an integer, "
+            "'auto' (available CPUs, capped at the region count) or 0 "
+            "(in-process); results are identical for every value"
         ),
     )
     scale.add_argument(
@@ -358,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     # `repro lint` is dispatched before argparse runs (see _dispatch):
-    # repro.lint.cli owns the whole flag surface (--format sarif, --fix,
+    # repro.lint.cli owns the whole flag surface (--format json, --fix,
     # --changed, ...) and argparse REMAINDER cannot forward leading
     # options.  The stub here only provides the help line.
     lint = subparsers.add_parser(
@@ -394,51 +382,37 @@ def _render(result: object) -> str:
 def _emit(result: object, args: argparse.Namespace, out) -> None:
     fmt = getattr(args, "format", "text")
     output = getattr(args, "output", None)
-    if fmt == "ascii":
+    if fmt == "ascii" and isinstance(result, FigureData):
         from .analysis.tables import render_ascii_chart
 
-        text = (
-            render_ascii_chart(result)
-            if isinstance(result, FigureData)
-            else _render(result)
-        )
-        if output:
-            from pathlib import Path
-
-            Path(output).write_text(text + "\n")
-        else:
-            print(text, file=out)
-        return
-    if fmt == "text":
+        text = render_ascii_chart(result)
+    elif fmt in ("text", "ascii"):
         text = _render(result)
-        if output:
-            from pathlib import Path
-
-            Path(output).write_text(text + "\n")
-        else:
-            print(text, file=out)
-        return
-    text = export_result(result, fmt, path=output)
+    else:
+        text = export_result(result, fmt)
     if not output:
         print(text, file=out)
+        return
+    _write_output(output, text + "\n" if fmt in ("text", "ascii") else text)
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write an ``--output`` file; an unwritable path is a ``ReproError``."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ReproError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _experiment_kwargs(fn, args: argparse.Namespace) -> dict:
     """Keyword arguments an experiment accepts from the command line.
 
-    Only sweep-based figures take ``parallel=``/``solver=``; passing
-    them to the table experiments would fail, so consult each
-    signature.
+    Only sweep-based figures take ``solver=``; passing it to the table
+    experiments would fail, so consult each signature.
     """
-    kwargs = {}
-    parameters = inspect.signature(fn).parameters
-    parallel = getattr(args, "parallel", None)
-    if parallel is not None and "parallel" in parameters:
-        kwargs["parallel"] = parallel
-    solver = getattr(args, "solver", "auto")
-    if solver != "auto" and "solver" in parameters:
-        kwargs["solver"] = solver
-    return kwargs
+    if "solver" in inspect.signature(fn).parameters:
+        return {"solver": args.solver}
+    return {}
 
 
 def _run_experiment(args: argparse.Namespace, out) -> int:
@@ -509,14 +483,9 @@ def _solve(args: argparse.Namespace, out) -> int:
 
 
 def _topology(args: argparse.Namespace, out) -> int:
-    from .errors import TopologyError
     from .topology import load_topology, topology_parameters
 
-    try:
-        topology = load_topology(args.name)
-    except TopologyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    topology = load_topology(args.name)
     params = topology_parameters(topology)
     print(f"{topology.name} ({topology.region}, {topology.kind})", file=out)
     print(
@@ -559,15 +528,10 @@ def _sensitivity(args: argparse.Namespace, out) -> int:
 
 def _protocol(args: argparse.Namespace, out) -> int:
     from .core.strategy import ProvisioningStrategy
-    from .errors import TopologyError
     from .simulation.protocol import DistributedCoordinator
     from .topology import load_topology
 
-    try:
-        topology = load_topology(args.name)
-    except TopologyError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    topology = load_topology(args.name)
     if not 0.0 <= args.level <= 1.0:
         print("--level must lie in [0, 1]", file=sys.stderr)
         return 2
@@ -593,41 +557,33 @@ def _protocol(args: argparse.Namespace, out) -> int:
 
 
 def _scale(args: argparse.Namespace, out) -> int:
-    from .analysis.sweep import resolve_parallel
-    from .errors import ReproError
     from .obs import get_session
     from .simulation import run_sharded
     from .topology import generate_hierarchy
 
     obs = get_session()
-    try:
-        with obs.span("scale.generate"):
-            topology = generate_hierarchy(
-                args.seed,
-                routers=args.routers,
-                regions=args.regions,
-                tiers=args.tiers,
-            )
-        workers = resolve_parallel(
-            args.shards, topology.region_count, sharded=True
+    with obs.span("scale.generate"):
+        topology = generate_hierarchy(
+            args.seed,
+            routers=args.routers,
+            regions=args.regions,
+            tiers=args.tiers,
         )
-        result = run_sharded(
-            topology,
-            requests=args.requests,
-            capacity=args.capacity,
-            mode=args.mode,
-            policy=args.policy,
-            coordination_level=args.level,
-            exponent=args.exponent,
-            catalog_size=args.catalog,
-            warmup=args.warmup,
-            seed=args.seed,
-            shards=workers if workers >= 1 else None,
-            metric=args.metric,
-        )
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    result = run_sharded(
+        topology,
+        requests=args.requests,
+        capacity=args.capacity,
+        mode=args.mode,
+        policy=args.policy,
+        coordination_level=args.level,
+        exponent=args.exponent,
+        catalog_size=args.catalog,
+        warmup=args.warmup,
+        seed=args.seed,
+        # 0 is the CLI's spelling of run_sharded's in-process path.
+        shards=None if args.shards == 0 else args.shards,
+        metric=args.metric,
+    )
     metrics = result.metrics
     print(
         f"{topology.name}: {topology.n_routers} routers "
@@ -664,33 +620,28 @@ def _scale(args: argparse.Namespace, out) -> int:
 
 def _approx(args: argparse.Namespace, out) -> int:
     from .approx import solve_custodian, solve_en_route
-    from .errors import ReproError
     from .topology import load_topology
 
-    try:
-        topology = load_topology(args.name)
-        if args.mode == "custodian":
-            solution = solve_custodian(
-                topology,
-                capacity=args.capacity,
-                coordination_level=args.level,
-                policy=args.policy,
-                exponent=args.exponent,
-                catalog_size=args.catalog,
-                metric=args.metric,
-            )
-        else:
-            solution = solve_en_route(
-                topology,
-                capacity=args.capacity,
-                policy=args.policy,
-                exponent=args.exponent,
-                catalog_size=args.catalog,
-                metric=args.metric,
-            )
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    topology = load_topology(args.name)
+    if args.mode == "custodian":
+        solution = solve_custodian(
+            topology,
+            capacity=args.capacity,
+            coordination_level=args.level,
+            policy=args.policy,
+            exponent=args.exponent,
+            catalog_size=args.catalog,
+            metric=args.metric,
+        )
+    else:
+        solution = solve_en_route(
+            topology,
+            capacity=args.capacity,
+            policy=args.policy,
+            exponent=args.exponent,
+            catalog_size=args.catalog,
+            metric=args.metric,
+        )
     metrics = solution.metrics
     print(
         f"{topology.name}: {solution.mode} approximation, policy "
@@ -718,72 +669,67 @@ def _ccn(args: argparse.Namespace, out) -> int:
     from .catalog import IRMWorkload, ZipfModel
     from .ccn import BatchedCCNEngine, CacheQueue
     from .core.strategy import ProvisioningStrategy
-    from .errors import ReproError
     from .topology import load_topology
 
     if not 0.0 <= args.level <= 1.0:
         print("--level must lie in [0, 1]", file=sys.stderr)
         return 2
-    try:
-        if args.sweep:
-            from .analysis.contention import contention_sweep
+    if args.sweep:
+        from .analysis.contention import contention_sweep
 
-            figure = contention_sweep(
-                topology_name=args.name,
-                capacity=args.capacity,
-                exponent=args.exponent,
-                catalog_size=args.catalog,
-                requests=args.requests,
-                seed=args.seed,
-            )
-            print(_render(figure), file=out)
-            print(
-                f"analytic l* (eq. 5/7) = "
-                f"{figure.parameters['analytic_level']:.4f}",
-                file=out,
-            )
-            for label, level in figure.parameters["measured_optima"].items():
-                agg = figure.parameters["pit_aggregations"][label]
-                rej = figure.parameters["rejected_ops"][label]
-                print(
-                    f"measured l^* [{label}] = {level:.2f} "
-                    f"(aggregations {agg}, rejections {rej})",
-                    file=out,
-                )
-            return 0
-        topology = load_topology(args.name)
-        queue = None
-        if args.queue_size is not None:
-            queue = CacheQueue(
-                size=args.queue_size,
-                read_penalty_ms=args.read_penalty,
-                write_penalty_ms=args.write_penalty,
-            )
-        engine = BatchedCCNEngine(
-            topology, origin_gateway=topology.nodes[0], queue=queue
-        )
-        engine.install_strategy(
-            ProvisioningStrategy(
-                capacity=args.capacity,
-                n_routers=topology.n_routers,
-                level=args.level,
-            )
-        )
-        workload = IRMWorkload(
-            ZipfModel(args.exponent, args.catalog),
-            topology.nodes,
+        figure = contention_sweep(
+            topology_name=args.name,
+            capacity=args.capacity,
+            exponent=args.exponent,
+            catalog_size=args.catalog,
+            requests=args.requests,
             seed=args.seed,
         )
-        import time as _time
-
-        start = _time.perf_counter()
-        result = engine.run_workload(
-            workload, args.requests, interarrival_ms=args.interarrival
+        print(_render(figure), file=out)
+        print(
+            f"analytic l* (eq. 5/7) = "
+            f"{figure.parameters['analytic_level']:.4f}",
+            file=out,
         )
-        elapsed = _time.perf_counter() - start
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+        for label, level in figure.parameters["measured_optima"].items():
+            agg = figure.parameters["pit_aggregations"][label]
+            rej = figure.parameters["rejected_ops"][label]
+            print(
+                f"measured l^* [{label}] = {level:.2f} "
+                f"(aggregations {agg}, rejections {rej})",
+                file=out,
+            )
+        return 0
+    topology = load_topology(args.name)
+    queue = None
+    if args.queue_size is not None:
+        queue = CacheQueue(
+            size=args.queue_size,
+            read_penalty_ms=args.read_penalty,
+            write_penalty_ms=args.write_penalty,
+        )
+    engine = BatchedCCNEngine(
+        topology, origin_gateway=topology.nodes[0], queue=queue
+    )
+    engine.install_strategy(
+        ProvisioningStrategy(
+            capacity=args.capacity,
+            n_routers=topology.n_routers,
+            level=args.level,
+        )
+    )
+    workload = IRMWorkload(
+        ZipfModel(args.exponent, args.catalog),
+        topology.nodes,
+        seed=args.seed,
+    )
+    import time as _time
+
+    start = _time.perf_counter()
+    result = engine.run_workload(
+        workload, args.requests, interarrival_ms=args.interarrival
+    )
+    elapsed = _time.perf_counter() - start
     print(
         f"{topology.name}: batched packet-level run, level {args.level:g}, "
         f"c={args.capacity}, Zipf(s={args.exponent:g}, N={args.catalog}), "
@@ -842,27 +788,22 @@ def _serve(args: argparse.Namespace, out) -> int:
     import time
     from contextlib import nullcontext
 
-    from .errors import ParameterError
     from .service import DeadBandPolicy, OptimizerService, read_stream
 
-    try:
-        scenario = Scenario(
-            alpha=args.alpha,
-            gamma=args.gamma,
-            n_routers=args.routers,
-            catalog_size=args.catalog,
-            capacity=args.capacity,
-            unit_cost=args.unit_cost,
-            peer_delta=args.peer_delta,
-        )
-        service = OptimizerService(
-            scenario,
-            memory=args.memory,
-            policy=DeadBandPolicy(dead_band=args.dead_band),
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    scenario = Scenario(
+        alpha=args.alpha,
+        gamma=args.gamma,
+        n_routers=args.routers,
+        catalog_size=args.catalog,
+        capacity=args.capacity,
+        unit_cost=args.unit_cost,
+        peer_delta=args.peer_delta,
+    )
+    service = OptimizerService(
+        scenario,
+        memory=args.memory,
+        policy=DeadBandPolicy(dead_band=args.dead_band),
+    )
     if args.limit is not None and args.limit < 1:
         print(f"--limit must be positive, got {args.limit}", file=sys.stderr)
         return 2
@@ -894,7 +835,7 @@ def _serve(args: argparse.Namespace, out) -> int:
                     break
                 if args.tick > 0.0:
                     time.sleep(args.tick)
-    except (OSError, ParameterError) as exc:
+    except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
     tracker = service.tracker
@@ -913,14 +854,9 @@ def _serve(args: argparse.Namespace, out) -> int:
 
 
 def _obs_summarize(args: argparse.Namespace, out) -> int:
-    from .errors import ObservabilityError
     from .obs import read_events, render_summary, summarize_events
 
-    try:
-        events = read_events(args.events)
-    except ObservabilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    events = read_events(args.events)
     print(render_summary(summarize_events(events)), file=out)
     return 0
 
@@ -935,14 +871,9 @@ def _observed(args: argparse.Namespace, handler, out) -> int:
     obs_path = getattr(args, "obs", None)
     if not obs_path:
         return handler(args, out)
-    from .errors import ObservabilityError
     from .obs import JsonlSink, session
 
-    try:
-        sink = JsonlSink(obs_path)
-    except ObservabilityError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    sink = JsonlSink(obs_path)
     annotations = {"command": args.command}
     if args.command == "run":
         annotations["experiment"] = args.experiment
@@ -952,24 +883,26 @@ def _observed(args: argparse.Namespace, handler, out) -> int:
 
 def _report(args: argparse.Namespace, out) -> int:
     from .analysis.reporting import generate_report
-    from .errors import ParameterError
 
-    try:
-        text = generate_report(
-            experiments=args.experiments, path=args.output
-        )
-    except ParameterError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if not args.output:
+    text = generate_report(experiments=args.experiments)
+    if args.output:
+        _write_output(args.output, text)
+    else:
         print(text, file=out)
     return 0
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    Every library error (:class:`~repro.errors.ReproError`) ends the
+    run here: one line on stderr and exit code 2, never a traceback.
+    """
     try:
         return _dispatch(argv, out)
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # stdout closed early (e.g. piped into `head`): exit quietly.
         try:

@@ -10,14 +10,11 @@ from .batch_solver import (
     BatchGains,
     BatchStrategy,
     ScenarioGrid,
-    closed_form_alpha1_batch,
     coordination_cost_batch,
     evaluate_gains_batch,
     existence_mask,
-    lemma2_coefficients_batch,
     mean_latency_batch,
     solve_batch,
-    solve_lemma2_batch,
 )
 from .conditions import ExistenceConditions, check_existence
 from .cost import CoordinationCostModel, PiecewiseLinearCostModel
@@ -89,7 +86,6 @@ __all__ = [
     "check_existence",
     "clear_zipf_caches",
     "closed_form_alpha1",
-    "closed_form_alpha1_batch",
     "combine_objective",
     "continuous_cdf",
     "continuous_cdf_columns",
@@ -104,7 +100,6 @@ __all__ = [
     "harmonic_numbers",
     "inverse_continuous_cdf",
     "lemma2_coefficients",
-    "lemma2_coefficients_batch",
     "mean_latency_batch",
     "minimize_objective",
     "optimal_strategy",
@@ -119,7 +114,6 @@ __all__ = [
     "solve_batch",
     "solve_first_order",
     "solve_lemma2",
-    "solve_lemma2_batch",
     "tier_fractions",
     "tier_latencies_from_gamma",
     "top_k_mass",

@@ -5,11 +5,11 @@ optimum at many parameter points.  The scalar solvers in
 :mod:`repro.core.optimizer` bisect one instance at a time (~40 Python
 iterations each); this module holds a *structure-of-arrays* scenario
 grid (:class:`ScenarioGrid`, one numpy column per Table IV parameter)
-and bisects **all** points simultaneously: the Lemma 2 residual
-``a·ℓ^{-s} − (1−ℓ)^{-s} − b`` (eq. 7) and the exact first-order
-condition (Appendix A, eq. 10) are evaluated as array expressions, so a
-whole grid converges in ~40 vectorized iterations instead of
-``40·|grid|`` scalar objective calls.
+and bisects **all** points simultaneously: the exact first-order
+condition (Appendix A, eq. 10) is evaluated as an array expression, so
+a whole grid converges in ~40 vectorized iterations instead of
+``40·|grid|`` scalar objective calls.  The Lemma 2 (eq. 7) and Theorem 2
+(eq. 8) references stay scalar, in :mod:`repro.core.optimizer`.
 
 Equivalence contract (mirrors the PR 2/4 simulation kernels):
 
@@ -41,7 +41,6 @@ from ..errors import (
     ConvergenceError,
     ExistenceConditionError,
     ParameterError,
-    SingularExponentError,
 )
 from ..obs import get_session
 from .conditions import MIN_LARGE_CATALOG, check_existence
@@ -62,9 +61,6 @@ __all__ = [
     "resolve_incremental",
     "evaluate_gains_batch",
     "existence_mask",
-    "lemma2_coefficients_batch",
-    "solve_lemma2_batch",
-    "closed_form_alpha1_batch",
     "mean_latency_batch",
     "coordination_cost_batch",
 ]
@@ -73,8 +69,6 @@ __all__ = [
 #: bracket predictor: the closed form drops the ``(1-α)`` cost term, so
 #: it only localizes the root when the objective is latency-dominated.
 WARM_START_MIN_ALPHA = 0.9
-
-_METHODS = ("auto", "lemma2", "first-order", "scalar-min", "closed-form")
 
 
 def _column(value: object, dtype=np.float64) -> np.ndarray:
@@ -419,10 +413,9 @@ class ScenarioGrid:
 
         Keys: ``d0``/``d1``/``d2`` (the tier latencies built exactly
         like ``LatencyModel.from_gamma``), ``peer_delta``/``origin_delta``
-        (``d1-d0``, ``d2-d1``), ``singular`` (the |s-1| ≤ tol mask),
-        ``normalizer`` (the eq. 6 prefactor, with the s → 1 limit),
-        ``w_scaled``/``fixed_scaled`` (eq. 3 costs after ``cost_scale``)
-        and ``marginal_cost`` (``w·scale·n``).
+        (``d1-d0``, ``d2-d1``), ``normalizer`` (the eq. 6 prefactor,
+        with the s → 1 limit), ``w_scaled``/``fixed_scaled`` (eq. 3
+        costs after ``cost_scale``) and ``marginal_cost`` (``w·scale·n``).
 
         The arrays are **read-only** and shared across calls — the same
         contract as the memoized eq. 1 tables in :mod:`repro.core.zipf`;
@@ -432,7 +425,6 @@ class ScenarioGrid:
             d0, d1, d2 = tier_latencies_from_gamma(
                 self.gamma, self.access_latency, self.peer_delta
             )
-            singular = np.abs(self.exponent - 1.0) <= SINGULARITY_TOLERANCE
             normalizer = continuous_normalizer_columns(
                 self.exponent, self.catalog_size
             )
@@ -445,7 +437,6 @@ class ScenarioGrid:
                 "d2": d2,
                 "peer_delta": d1 - d0,
                 "origin_delta": d2 - d1,
-                "singular": singular,
                 "normalizer": normalizer,
                 "w_scaled": w_scaled,
                 "fixed_scaled": fixed_scaled,
@@ -605,133 +596,6 @@ def _raise_existence(grid: ScenarioGrid, ok: np.ndarray) -> None:
 # -- batched solvers ----------------------------------------------------
 
 
-def lemma2_coefficients_batch(grid: ScenarioGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The eq. 7 coefficient columns ``(a, b)`` for a whole grid (Lemma 2).
-
-    ``a = γ·n^{1-s}``;
-    ``b = ((1-α)/α)·((N^{1-s}-1)/(1-s))·((n-1)·w/(d1-d0))·c^s``.
-
-    Like the scalar :func:`~repro.core.optimizer.lemma2_coefficients`,
-    raises :class:`~repro.errors.ParameterError` if any point has
-    ``α = 0`` (``b`` diverges; :func:`solve_batch` masks those points to
-    the trivial boundary before calling this) and
-    :class:`~repro.errors.SingularExponentError` at the s = 1
-    singularity.
-    """
-    if np.any(grid.alpha <= 0.0):
-        raise ParameterError(
-            "Lemma 2 coefficients are undefined at alpha = 0; the optimum "
-            "there is trivially non-coordinated (level 0)"
-        )
-    _require_nonsingular(grid)
-    return _lemma2_ab(grid, grid.alpha)
-
-
-def _require_nonsingular(grid: ScenarioGrid) -> None:
-    singular = grid.derived()["singular"]
-    if np.any(singular):
-        index = int(np.flatnonzero(singular)[0])
-        raise SingularExponentError(
-            f"Zipf exponent s = 1 (grid point {index}) is the eq. 6/7 "
-            f"singularity; this solver requires s in (0, 1) ∪ (1, 2)"
-        )
-
-
-def _lemma2_ab(
-    grid: ScenarioGrid, alpha: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    derived = grid.derived()
-    s = grid.exponent
-    a = grid.gamma * grid.n_routers ** (1.0 - s)
-    zipf_factor = (grid.catalog_size ** (1.0 - s) - 1.0) / (1.0 - s)
-    cost_factor = (
-        (grid.n_routers - 1.0) * derived["w_scaled"] / derived["peer_delta"]
-    )
-    b = ((1.0 - alpha) / alpha) * zipf_factor * cost_factor * grid.capacity**s
-    return a, b
-
-
-def solve_lemma2_batch(
-    a: np.ndarray, b: np.ndarray, exponent: np.ndarray
-) -> np.ndarray:
-    """Solve the eq. 7 fixed point by bisection for every column entry.
-
-    Theorem 1 guarantees a unique root of
-    ``g(ℓ) = a·ℓ^{-s} - (1-ℓ)^{-s} - b`` on ``(0, 1)`` per point; like
-    the scalar :func:`~repro.core.optimizer.solve_lemma2`, points whose
-    root sits beyond the numerical bracket are clamped to the boundary
-    the monotone ``g`` points at.
-    """
-    a = _column(a)
-    b = _column(b)
-    s = _column(exponent)
-    if np.any(~np.isfinite(exponent := s)) or np.any(
-        (exponent <= 0.0) | (exponent >= 2.0)
-    ) or np.any(np.abs(exponent - 1.0) <= SINGULARITY_TOLERANCE):
-        raise SingularExponentError(
-            "exponent column must lie in (0, 1) ∪ (1, 2) for the eq. 7 "
-            "fixed point (s = 1 is the singularity)"
-        )
-    if np.any(~np.isfinite(a)) or np.any(a <= 0.0):
-        raise ParameterError("coefficient column a must be positive")
-    if np.any(b < 0.0):
-        raise ParameterError("coefficient column b must be non-negative")
-    a, b, s = np.broadcast_arrays(a, b, s)
-
-    def g(level: np.ndarray) -> np.ndarray:
-        return a * level**-s - (1.0 - level) ** -s - b
-
-    lo = np.full(a.shape, LEVEL_TOLERANCE)
-    hi = np.full(a.shape, 1.0 - LEVEL_TOLERANCE)
-    g_lo = g(lo)
-    g_hi = g(hi)
-    clamp_lo = g_lo <= 0.0
-    clamp_hi = ~clamp_lo & (g_hi >= 0.0)
-    interior = ~clamp_lo & ~clamp_hi
-    active = interior & (hi - lo > LEVEL_TOLERANCE)
-    iterations = 0
-    while active.any():
-        if iterations >= MAX_BISECTION_ITERATIONS:
-            raise ConvergenceError(
-                f"batched Lemma 2 bisection failed to converge within "
-                f"{MAX_BISECTION_ITERATIONS} iterations"
-            )
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        above = active & (g(mid) > 0.0)
-        lo = np.where(above, mid, lo)
-        hi = np.where(active & ~above, mid, hi)
-        active = interior & (hi - lo > LEVEL_TOLERANCE)
-    levels = np.where(interior, 0.5 * (lo + hi), np.where(clamp_lo, lo, hi))
-    return levels
-
-
-def closed_form_alpha1_batch(
-    gamma: np.ndarray, n_routers: np.ndarray, exponent: np.ndarray
-) -> np.ndarray:
-    """Theorem 2's closed-form optimal level columns for ``α = 1``.
-
-    ``ℓ* = 1 / (γ^{-1/s}·n^{1-1/s} + 1)`` — the corrected-exponent form
-    (see :func:`~repro.core.optimizer.closed_form_alpha1` for why the
-    paper's printed eq. 8 sign is adjusted).
-    """
-    g = _column(gamma)
-    n = _column(n_routers)
-    s = _column(exponent)
-    if np.any(~np.isfinite(g)) or np.any(g <= 0.0):
-        raise ParameterError("gamma column must be positive")
-    if np.any(n < 1.0):
-        raise ParameterError("router count column must be positive")
-    if np.any(~np.isfinite(exponent := s)) or np.any(
-        (exponent <= 0.0) | (exponent >= 2.0)
-    ) or np.any(np.abs(exponent - 1.0) <= SINGULARITY_TOLERANCE):
-        raise SingularExponentError(
-            "exponent column must lie in (0, 1) ∪ (1, 2) for Theorem 2 "
-            "(s = 1 is the singularity)"
-        )
-    return 1.0 / (g ** (-1.0 / s) * n ** (1.0 - 1.0 / s) + 1.0)
-
-
 def _solve_first_order_columns(
     grid: ScenarioGrid,
     derived: Mapping[str, np.ndarray],
@@ -882,7 +746,6 @@ def _finish_columns(
 def solve_batch(
     grid: ScenarioGrid,
     *,
-    method: str = "auto",
     check_conditions: bool = True,
     warm_start: bool = True,
 ) -> BatchStrategy:
@@ -892,19 +755,16 @@ def solve_batch(
     :func:`~repro.core.optimizer.optimal_strategy`; per-point semantics
     (the α = 0 boundary shortcut, clip-at-``c`` handling, the
     finish-time boundary comparison) are reproduced exactly, and the
-    bisections (eq. 7 / Appendix A eq. 10) run as ~40 whole-grid array
-    iterations.
+    bisection of the exact first-order condition (Appendix A eq. 10)
+    runs as ~40 whole-grid array iterations.  The scalar oracle's
+    ``lemma2``, ``closed-form`` and ``scalar-min`` methods have no
+    batched form: the Lemma 2 (eq. 7) and Theorem 2 (eq. 8) references
+    stay in :func:`~repro.core.optimizer.optimal_strategy`.
 
     Parameters
     ----------
     grid:
         The structure-of-arrays parameter grid.
-    method:
-        ``"auto"``/``"first-order"`` bisect the exact first-order
-        condition; ``"lemma2"`` the eq. 7 fixed point; ``"closed-form"``
-        applies Theorem 2 (``α = 1`` points only).  ``"scalar-min"`` has
-        no batched form — use the scalar oracle — and raises
-        :class:`~repro.errors.ParameterError`.
     check_conditions:
         When True (default), Lemma 1's conditions are checked per point
         and :class:`~repro.errors.ExistenceConditionError` is raised if
@@ -919,16 +779,9 @@ def solve_batch(
     ``solver.batch.grids`` counters and an iterations + points/s gauge
     pair to :mod:`repro.obs`.
     """
-    if method not in _METHODS:
-        raise ParameterError(f"unknown solver method {method!r}")
-    if method == "scalar-min":
-        raise ParameterError(
-            "scalar-min has no batched form (scipy's bounded Brent is "
-            "inherently per-point); use the scalar optimal_strategy oracle"
-        )
     obs = get_session()
     with obs.span("solver.batch") as span:
-        strategy = _solve_batch_impl(grid, method, check_conditions, warm_start)
+        strategy = _solve_batch_impl(grid, check_conditions, warm_start)
     if obs.enabled:
         obs.counter("solver.batch.grids").add()
         obs.counter("solver.batch.points").add(len(grid))
@@ -941,39 +794,14 @@ def solve_batch(
 
 
 def _solve_batch_impl(
-    grid: ScenarioGrid, method: str, check_conditions: bool, warm_start: bool
+    grid: ScenarioGrid, check_conditions: bool, warm_start: bool
 ) -> BatchStrategy:
     ok = existence_mask(grid)
     if check_conditions and not bool(ok.all()):
         _raise_existence(grid, ok)
     derived = grid.derived()
-    alpha = grid.alpha
-    boundary = alpha == 0.0
-    iterations = 0
-
-    if method == "closed-form":
-        if np.any(~boundary & (alpha != 1.0)):
-            raise ParameterError(
-                "the closed form (Theorem 2) applies only at alpha = 1"
-            )
-        if np.any(~boundary):
-            _require_nonsingular(grid)
-        with np.errstate(over="ignore", invalid="ignore"):
-            x_star = np.where(boundary, 0.0, _closed_form_columns(grid) * grid.capacity)
-        labels = np.where(boundary, "boundary", "closed-form")
-    elif method == "lemma2":
-        if np.any(~boundary):
-            _require_nonsingular(grid)
-        safe_alpha = np.where(boundary, 0.5, alpha)
-        a, b = _lemma2_ab(grid, safe_alpha)
-        with np.errstate(over="ignore", invalid="ignore"):
-            levels = solve_lemma2_batch(a, b, grid.exponent)
-        x_star = np.where(boundary, 0.0, levels * grid.capacity)
-        labels = np.where(boundary, "boundary", "lemma2")
-    else:  # auto / first-order
-        x_star, iterations = _solve_first_order_columns(grid, derived, warm_start)
-        labels = np.where(boundary, "boundary", "first-order")
-
+    x_star, iterations = _solve_first_order_columns(grid, derived, warm_start)
+    labels = np.where(grid.alpha == 0.0, "boundary", "first-order")
     return _finish_columns(grid, derived, x_star, labels, ok, iterations)
 
 

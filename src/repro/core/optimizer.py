@@ -27,7 +27,6 @@ Theorem 2's closed form for ``α = 1``,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from scipy import optimize as _scipy_optimize
 
 from ..errors import ConvergenceError, ParameterError
 from .conditions import check_existence
@@ -247,8 +246,12 @@ def minimize_objective(model: PerformanceCostModel) -> float:
     converges to the global optimum.  Returns the optimal storage
     ``x*``.
     """
+    # Imported here: scipy.optimize is most of `import repro`'s cost,
+    # and only this method (scalar-min) needs it.
+    from scipy import optimize
+
     capacity = model.capacity
-    result = _scipy_optimize.minimize_scalar(
+    result = optimize.minimize_scalar(
         lambda x: float(model.objective(float(x))),
         bounds=(0.0, capacity),
         method="bounded",

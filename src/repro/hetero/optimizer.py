@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize as _scipy_optimize
 
 from ..errors import ParameterError
 from .model import HeterogeneousModel
@@ -86,10 +85,13 @@ def optimize_shares(
         caps * (caps / caps.max()) * 0.5,
     ][: restarts + 1]
 
+    # scipy.optimize is imported on first use, not with the package.
+    from scipy import optimize
+
     best_x: np.ndarray = np.asarray(uniform.shares)
     best_value = float(model.objective(best_x))
     for start in starts:
-        result = _scipy_optimize.minimize(
+        result = optimize.minimize(
             model.objective,
             start,
             method="SLSQP",
@@ -129,7 +131,9 @@ def optimize_uniform_level(
     k = int(np.argmin(values))
     lo = levels[max(k - 1, 0)]
     hi = levels[min(k + 1, resolution - 1)]
-    refine = _scipy_optimize.minimize_scalar(
+    from scipy import optimize
+
+    refine = optimize.minimize_scalar(
         lambda l: model.objective(model.uniform_shares(float(l))),
         bounds=(float(lo), float(hi)),
         method="bounded",

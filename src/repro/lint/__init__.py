@@ -39,9 +39,9 @@ whole-program rule:
 
 The engine is incremental: results are cached under ``.lint-cache/``
 keyed by content hash and invalidated transitively through the import
-graph, so a clean tree re-parses nothing.  ``--format sarif`` emits
-SARIF 2.1.0 for CI; ``--fix`` applies mechanical fixes; ``--changed``
-lints only git-changed files plus their importers.
+graph, so a clean tree re-parses nothing.  ``--fix`` applies
+mechanical fixes; ``--changed`` lints only git-changed files plus their
+importers.
 
 Run it as ``python -m repro.lint src/ tests/``, ``repro lint ...`` or
 ``make lint`` (``make lint-full`` bypasses the cache).  Suppress a
@@ -56,7 +56,6 @@ than the CLI depends on it.
 
 from __future__ import annotations
 
-from .baseline import Baseline
 from .cache import DEFAULT_CACHE_DIR, IncrementalCache
 from .diagnostics import Diagnostic, Fix, Severity
 from .engine import (
@@ -69,10 +68,8 @@ from .engine import (
 from .fixes import apply_fixes
 from .project import ModuleSummary, ProjectIndex
 from .rules import PROJECT_RULES, RULES, ProjectRule, Rule, rule_ids
-from .sarif import to_sarif
 
 __all__ = [
-    "Baseline",
     "Diagnostic",
     "Fix",
     "Severity",
@@ -89,7 +86,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "apply_fixes",
-    "to_sarif",
     "IncrementalCache",
     "DEFAULT_CACHE_DIR",
 ]

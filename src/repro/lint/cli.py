@@ -4,13 +4,10 @@ Also reachable as ``repro lint ...`` through the package CLI.  Exit
 codes follow the usual linter convention: 0 clean, 1 findings, 2 usage
 or internal error.  Noteworthy flags:
 
-- ``--format sarif`` renders a SARIF 2.1.0 log for CI annotation;
 - ``--fix`` applies the mechanical fixes (R8 dtype kwargs, R9
   try/finally span closure) and re-lints;
 - ``--changed`` lints only git-changed files plus their transitive
   importers (pre-commit fast path);
-- ``--baseline FILE`` suppresses findings recorded in a committed
-  baseline and fails only on new ones;
 - ``--no-cache`` / ``--cache-dir`` control the incremental cache
   (enabled by default, under ``.lint-cache/``).
 """
@@ -23,12 +20,10 @@ import sys
 from pathlib import Path
 from typing import IO, Optional, Sequence
 
-from .baseline import DEFAULT_BASELINE_NAME, Baseline
 from .cache import DEFAULT_CACHE_DIR
 from .engine import LintResult, lint_paths
 from .fixes import apply_fixes
 from .rules import PROJECT_RULES, RULES, rule_ids
-from .sarif import to_sarif
 
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
@@ -52,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--format",
-        choices=("text", "json", "sarif"),
+        choices=("text", "json"),
         default="text",
         help="output format (default: text)",
     )
@@ -91,19 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         default=DEFAULT_CACHE_DIR,
         help=f"incremental cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "suppress findings recorded in this baseline file; fail only "
-            f"on new ones (conventionally {DEFAULT_BASELINE_NAME})"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings as the baseline file and exit 0",
     )
     return parser
 
@@ -144,11 +126,6 @@ def _render_json(result: LintResult, out: IO[str]) -> None:
         "rules": rule_ids(),
     }
     json.dump(payload, out, indent=2)
-    print(file=out)
-
-
-def _render_sarif(result: LintResult, out: IO[str]) -> None:
-    json.dump(to_sarif(result.diagnostics), out, indent=2)
     print(file=out)
 
 
@@ -201,38 +178,8 @@ def main(argv: Optional[Sequence[str]] = None, out: Optional[IO[str]] = None) ->
         print(f"repro-lint: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    if args.write_baseline:
-        Baseline.from_diagnostics(result.diagnostics).save(
-            Path(args.write_baseline)
-        )
-        print(
-            f"repro-lint: wrote {len(result.diagnostics)} finding(s) to "
-            f"{args.write_baseline}",
-            file=out,
-        )
-        return EXIT_CLEAN
-
-    if args.baseline:
-        try:
-            baseline = Baseline.load(Path(args.baseline))
-        except (OSError, ValueError, KeyError) as exc:
-            print(
-                f"repro-lint: cannot read baseline {args.baseline}: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
-        new, baselined = baseline.split(result.diagnostics)
-        result.diagnostics = new
-        if baselined:
-            print(
-                f"repro-lint: {len(baselined)} baselined finding(s) hidden",
-                file=out,
-            )
-
     if args.format == "json":
         _render_json(result, out)
-    elif args.format == "sarif":
-        _render_sarif(result, out)
     else:
         _render_text(result, statistics=args.statistics, out=out)
     return EXIT_FINDINGS if result.exit_code else EXIT_CLEAN

@@ -19,7 +19,8 @@ provides that layer without perturbing the numbers it observes:
   python/numpy versions, per-phase wall time);
 - :mod:`repro.obs.session` — the ambient :class:`ObsSession`
   instrumented code records into, plus the per-process provider
-  registry and the worker-snapshot merge used by parallel sweeps;
+  registry and the worker-snapshot merge used by the sharded
+  simulation (:func:`repro.simulation.sharded.run_sharded`);
 - :mod:`repro.obs.summary` — parsing + rendering of recorded event
   streams (backs ``repro obs summarize``).
 

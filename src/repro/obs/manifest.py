@@ -26,9 +26,9 @@ def available_cpus() -> int:
     cgroup/affinity limits (containers, ``taskset``) it overstates what
     a worker pool can use.  Prefer ``os.process_cpu_count()`` (Python
     3.13+), fall back to the scheduling affinity mask, then to
-    ``os.cpu_count()``.  Every parallel-worker heuristic in the project
-    (grid solves, sharded simulation) sizes off this number, so it
-    lives here in the foundation layer.
+    ``os.cpu_count()``.  The sharded simulation's worker pool sizes
+    off this number, and run manifests report it, so it lives here in
+    the foundation layer.
     """
     process_cpu_count = getattr(os, "process_cpu_count", None)
     count = process_cpu_count() if process_cpu_count is not None else None

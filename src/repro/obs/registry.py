@@ -183,7 +183,7 @@ class MetricsRegistry:
 
         Counters and histogram buckets add; gauges take the snapshot's
         value (so merging worker snapshots in a deterministic order —
-        grid order, in the parallel sweep — gives a deterministic
+        region order, in the sharded simulation — gives a deterministic
         result).  Histogram bounds must agree.
         """
         for name, value in snapshot.get("counters", {}).items():

@@ -132,7 +132,7 @@ class ObsSession:
 
         Counters/histograms/absorbed spans add; gauges take the
         snapshot value.  Callers must merge in a deterministic order
-        (the parallel sweep merges in grid order).
+        (the sharded simulation merges in region order).
         """
         self.registry.merge(snapshot)
         for name, agg in snapshot.get("spans", {}).items():

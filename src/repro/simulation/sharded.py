@@ -32,7 +32,7 @@ changes wall-clock time:
   order (integer counters add exactly; float sums add in a fixed
   order);
 - per-region obs snapshots merge into the parent session in region
-  order, the same worker-capture pattern the parallel sweep uses;
+  order (each worker records into its own capture session);
 - :func:`deterministic_view` projects a session snapshot onto its
   reproducible parts (dropping wall-clock span times, throughput
   gauges, and per-process provider cache counters), which is what the
@@ -327,7 +327,7 @@ def _run_region(task: _RegionTask) -> tuple[int, SimulationMetrics, dict]:
     """Worker entry point: simulate under a capturing obs session.
 
     Returns ``(region, metrics, snapshot)``; the parent merges the
-    snapshots in region order (the sweep's worker-capture pattern).
+    snapshots in region order.
     Sessions nest, so the same function serves the in-process serial
     path — shard counts change only who executes this, never what it
     records.

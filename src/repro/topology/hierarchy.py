@@ -394,8 +394,9 @@ def generate_hierarchy(
                 latency_ms=_latency(distance), distance_km=distance,
             )
         # Roles inside the region: top-betweenness interior routers
-        # become the aggregation tier (computed on the small region
-        # subgraph only — never on the full graph).
+        # become the aggregation tier (computed on a copy of the small
+        # region subgraph only — a subgraph view would filter every
+        # neighbour lookup through the full graph).
         interior = list(range(start + 1, stop))
         if tiers == 3 and interior and aggregation_fraction > 0:
             n_aggregation = min(
@@ -403,7 +404,7 @@ def generate_hierarchy(
                 math.ceil(aggregation_fraction * size),
             )
             centrality = nx.betweenness_centrality(
-                graph.subgraph(range(start, stop)), normalized=True
+                graph.subgraph(range(start, stop)).copy(), normalized=True
             )
             promoted = sorted(
                 interior, key=lambda node: (-centrality[node], node)

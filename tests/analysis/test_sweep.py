@@ -7,6 +7,7 @@ import pytest
 from repro.analysis.sweep import (
     FigureData,
     QUANTITIES,
+    SOLVERS,
     Series,
     solve_quantity,
     sweep,
@@ -114,20 +115,44 @@ class TestSweep:
         expected = Scenario(alpha=0.9, gamma=6.0).solve(check_conditions=False).level
         assert series[0].y_at(0.9) == pytest.approx(expected)
 
+    def test_unknown_quantity_rejected(self):
+        with pytest.raises(ParameterError, match="unknown quantity"):
+            sweep(
+                Scenario(),
+                x_field="alpha",
+                x_values=(0.5,),
+                quantity="nonsense",
+            )
+
 
 class TestSolverSelection:
     BASE = Scenario(capacity=100.0, catalog_size=10_000)
 
-    def test_explicit_solvers_match_auto(self):
+    def test_batched_is_the_default(self):
+        assert SOLVERS == ("batched", "scalar", "approx")
         kwargs = dict(
             x_field="alpha", x_values=(0.2, 0.5, 0.8), quantity="level"
         )
-        auto = sweep(self.BASE, **kwargs)
-        scalar = sweep(self.BASE, solver="scalar", **kwargs)
-        batched = sweep(self.BASE, solver="batched", **kwargs)
-        for a, s, b in zip(auto[0].y, scalar[0].y, batched[0].y):
-            assert s == pytest.approx(a, abs=1e-9)
-            assert b == pytest.approx(a, abs=1e-9)
+        assert sweep(self.BASE, **kwargs) == sweep(
+            self.BASE, solver="batched", **kwargs
+        )
+
+    def test_explicit_solvers_match_auto(self):
+        # The default pick (what solver="auto" used to choose) is the
+        # batched solver; the scalar oracle must agree with it per point.
+        for quantity in QUANTITIES:
+            kwargs = dict(
+                x_field="alpha",
+                x_values=(0.0, 0.2, 0.5, 0.8, 0.95, 1.0),
+                quantity=quantity,
+                curve_field="gamma",
+                curve_values=(2.0, 10.0),
+            )
+            default = sweep(self.BASE, **kwargs)
+            scalar = sweep(self.BASE, solver="scalar", **kwargs)
+            for d, s in zip(default, scalar):
+                assert (d.label, d.x) == (s.label, s.x)
+                assert s.y == pytest.approx(d.y, abs=1e-9), quantity
 
     @pytest.mark.parametrize("quantity", sorted(QUANTITIES))
     def test_approx_solver_answers_every_quantity(self, quantity):

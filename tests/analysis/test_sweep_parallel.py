@@ -1,24 +1,22 @@
-"""The sweep ``parallel=`` knob: identical output, validated input."""
+"""Sweep dispatch on the figure defaults: default against serial scalar.
+
+The ``parallel=`` knob this module was named for is gone — the batched
+solver replaced the process pool — but its check that the default
+dispatch (formerly ``parallel="auto"``) agrees with the serial scalar
+path on the paper's figure defaults stays.
+"""
 
 from __future__ import annotations
-
-import os
 
 import pytest
 
 from repro.analysis.defaults import BASE_SCENARIO
-from repro.analysis.sweep import (
-    AUTO_PARALLEL_MIN_POINTS_PER_WORKER,
-    resolve_parallel,
-    sweep,
-)
-from repro.errors import ParameterError
-from repro.obs import available_cpus
+from repro.analysis.sweep import sweep
 
 ALPHAS = tuple(round(0.1 + 0.8 * i / 5, 4) for i in range(6))
 
 
-def run_sweep(parallel):
+def run_sweep(**solver):
     return sweep(
         BASE_SCENARIO,
         x_field="alpha",
@@ -26,7 +24,7 @@ def run_sweep(parallel):
         quantity="level",
         curve_field="gamma",
         curve_values=(2.0, 10.0),
-        parallel=parallel,
+        **solver,
     )
 
 
@@ -45,131 +43,8 @@ def assert_series_close(left, right, tolerance=1e-9):
             assert ya == pytest.approx(yb, abs=tolerance)
 
 
-class TestParallelSweep:
-    def test_parallel_matches_serial(self):
-        serial = run_sweep(None)
-        parallel = run_sweep(2)
-        assert parallel == serial  # bitwise: same grid order, same solver
-
-    @pytest.mark.parametrize("parallel", [0, 1])
-    def test_degenerate_worker_counts_are_serial(self, parallel):
-        assert run_sweep(parallel) == run_sweep(None)
-
-    @pytest.mark.parametrize("parallel", [-1, 2.5])
-    def test_rejects_invalid_worker_counts(self, parallel):
-        with pytest.raises(ParameterError):
-            run_sweep(parallel)
-
-    def test_single_point_grid(self):
-        series = sweep(
-            BASE_SCENARIO,
-            x_field="alpha",
-            x_values=(0.5,),
-            quantity="level",
-            parallel=2,
-        )
-        assert len(series) == 1
-        assert len(series[0].x) == 1
-
-    def test_unknown_quantity_raises_before_spawning(self):
-        with pytest.raises(ParameterError):
-            sweep(
-                BASE_SCENARIO,
-                x_field="alpha",
-                x_values=ALPHAS,
-                quantity="nonsense",
-                parallel=2,
-            )
-
-
 class TestAutoParallel:
-    def test_small_grid_resolves_serial(self):
-        # The whole point of the heuristic: a figure-sized grid must not
-        # pay process spin-up.
-        assert resolve_parallel("auto", 12) == 0
-        assert (
-            resolve_parallel("auto", AUTO_PARALLEL_MIN_POINTS_PER_WORKER - 1)
-            == 0
-        )
-
-    def test_large_grid_scales_with_available_cpus(self):
-        cpus = available_cpus()
-        huge = AUTO_PARALLEL_MIN_POINTS_PER_WORKER * (cpus + 4)
-        assert resolve_parallel("auto", huge) == cpus
-
-    def test_threshold_caps_worker_count(self):
-        # Two thresholds' worth of points affords at most two workers,
-        # regardless of how many CPUs the machine has.
-        points = AUTO_PARALLEL_MIN_POINTS_PER_WORKER * 2
-        assert resolve_parallel("auto", points) <= 2
-
-    def test_explicit_counts_pass_through(self):
-        assert resolve_parallel(None, 10_000) == 0
-        assert resolve_parallel(0, 10_000) == 0
-        assert resolve_parallel(3, 4) == 3
-
-    def test_rejects_unknown_strings(self):
-        with pytest.raises(ParameterError):
-            resolve_parallel("fast", 100)
-
     def test_auto_sweep_matches_serial(self):
-        # "auto" now dispatches analytical grids to the batched solver;
+        # The default dispatches analytical grids to the batched solver;
         # it must agree with the scalar serial path per point.
-        assert_series_close(run_sweep("auto"), run_sweep(None))
-
-    def test_analytical_auto_never_spawns_processes(self):
-        # BENCH_pr4 showed process spin-up losing to serial on analytical
-        # sweeps (auto 0.0315s vs serial 0.0223s on a figure-sized grid);
-        # the solver-aware heuristic keeps them vectorized at any size.
-        huge = AUTO_PARALLEL_MIN_POINTS_PER_WORKER * 64
-        assert resolve_parallel("auto", huge, analytical=True) == 0
-        assert resolve_parallel("auto", 12, analytical=True) == 0
-
-    def test_analytical_flag_preserves_explicit_counts(self):
-        assert resolve_parallel(2, 10_000, analytical=True) == 2
-        assert resolve_parallel(None, 10_000, analytical=True) == 0
-
-
-class TestAvailableCpus:
-    def test_at_least_one_and_at_most_the_machine(self):
-        cpus = available_cpus()
-        assert cpus >= 1
-        machine = os.cpu_count()
-        if machine:
-            assert cpus <= machine
-
-    def test_reported_in_machine_provenance(self):
-        from repro.obs import machine_provenance
-
-        provenance = machine_provenance()
-        assert provenance["process_cpu_count"] == available_cpus()
-
-
-class TestShardedResolution:
-    def test_auto_has_no_amortization_floor(self):
-        # Region shards are long simulations: even a handful of regions
-        # deserve a pool, unlike sub-millisecond analytical points.
-        cpus = available_cpus()
-        assert resolve_parallel("auto", 4, sharded=True) == min(cpus, 4)
-        assert resolve_parallel("auto", 100, sharded=True) == min(cpus, 100)
-        assert resolve_parallel("auto", 1, sharded=True) == 1
-
-    def test_sharded_overrides_the_analytical_shortcut(self):
-        assert (
-            resolve_parallel("auto", 8, analytical=True, sharded=True) >= 1
-        )
-
-    def test_explicit_counts_and_serial_pass_through(self):
-        assert resolve_parallel(None, 8, sharded=True) == 0
-        assert resolve_parallel(0, 8, sharded=True) == 0
-        assert resolve_parallel(6, 8, sharded=True) == 6
-
-
-class TestFigureParallelKnob:
-    def test_figure_functions_accept_parallel(self):
-        from repro.analysis.experiments import figure4_level_vs_alpha
-
-        alphas = ALPHAS
-        batched = figure4_level_vs_alpha(alphas=alphas)  # default "auto"
-        scalar = figure4_level_vs_alpha(alphas=alphas, parallel=2)
-        assert_series_close(batched.series, scalar.series)
+        assert_series_close(run_sweep(), run_sweep(solver="scalar"))

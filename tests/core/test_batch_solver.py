@@ -16,27 +16,16 @@ import pytest
 from repro.core.batch_solver import (
     BatchStrategy,
     ScenarioGrid,
-    closed_form_alpha1_batch,
+    _closed_form_columns,
     evaluate_gains_batch,
     existence_mask,
-    lemma2_coefficients_batch,
     solve_batch,
-    solve_lemma2_batch,
 )
 from repro.core.conditions import check_existence
 from repro.core.gains import evaluate_gains
-from repro.core.optimizer import (
-    closed_form_alpha1,
-    lemma2_coefficients,
-    optimal_strategy,
-    solve_lemma2,
-)
+from repro.core.optimizer import closed_form_alpha1, optimal_strategy
 from repro.core.scenario import Scenario
-from repro.errors import (
-    ExistenceConditionError,
-    ParameterError,
-    SingularExponentError,
-)
+from repro.errors import ExistenceConditionError, ParameterError
 from repro.obs import session
 
 BASE = Scenario()  # Table IV base point
@@ -226,6 +215,22 @@ class TestFirstOrderEquivalence:
         assert bool((np.array(batched.level) > 0.98).all())
         assert not bool(batched.fully_coordinated.any())
 
+    def test_warm_start_predictor_is_closed_form(self):
+        # The warm-start probes bracket Theorem 2's eq. 8 level, so the
+        # predictor must be the scalar closed form at every grid point.
+        grid = ScenarioGrid.from_product(
+            BASE.replace(alpha=1.0),
+            gamma=[0.5, 2.0, 5.0, 20.0],
+            exponent=[0.6, 0.8, 1.4],
+        )
+        predicted = _closed_form_columns(grid)
+        for i in range(len(grid)):
+            point = grid.scenario_at(i)
+            assert predicted[i] == pytest.approx(
+                closed_form_alpha1(point.gamma, point.n_routers, point.exponent),
+                rel=1e-12,
+            )
+
     def test_strategy_at_round_trips_scalar_fields(self):
         grid = ScenarioGrid(alpha=[0.4])
         batched = solve_batch(grid, check_conditions=False)
@@ -233,67 +238,6 @@ class TestFirstOrderEquivalence:
         assert scalar.level == float(batched.level[0])
         assert scalar.method == "first-order"
         assert scalar.alpha == 0.4
-
-
-class TestAlternateMethods:
-    def test_lemma2_batch_matches_scalar_per_point(self):
-        scenarios = [
-            s for s in random_scenarios(seed=5, count=30) if s.alpha > 0.0
-        ]
-        grid = ScenarioGrid.from_scenarios(scenarios)
-        a, b = lemma2_coefficients_batch(grid)
-        levels = solve_lemma2_batch(a, b, grid.exponent)
-        for i, scenario in enumerate(scenarios):
-            coeffs = lemma2_coefficients(scenario.model())
-            assert a[i] == pytest.approx(coeffs.a, rel=1e-12)
-            assert b[i] == pytest.approx(coeffs.b, rel=1e-12)
-            assert levels[i] == pytest.approx(solve_lemma2(coeffs), abs=LEVEL_TOL)
-
-    def test_lemma2_method_matches_scalar_solver(self):
-        scenarios = [
-            s for s in random_scenarios(seed=17, count=20) if s.alpha > 0.0
-        ]
-        grid = ScenarioGrid.from_scenarios(scenarios)
-        batched = solve_batch(grid, method="lemma2", check_conditions=False)
-        assert_matches_scalar(grid, batched, method="lemma2")
-
-    def test_closed_form_batch_matches_scalar(self):
-        gammas = np.array([0.5, 2.0, 5.0, 20.0])
-        levels = closed_form_alpha1_batch(gammas, 20.0, 0.8)
-        for gamma, level in zip(gammas, levels):
-            assert level == pytest.approx(
-                closed_form_alpha1(float(gamma), 20, 0.8), rel=1e-12
-            )
-
-    def test_closed_form_method_requires_alpha_one(self):
-        grid = ScenarioGrid(alpha=[0.5, 1.0])
-        with pytest.raises(ParameterError, match="alpha = 1"):
-            solve_batch(grid, method="closed-form", check_conditions=False)
-
-    def test_closed_form_method_matches_scalar_at_alpha_one(self):
-        grid = ScenarioGrid.from_product(
-            BASE.replace(alpha=1.0), gamma=[1.0, 5.0, 12.0]
-        )
-        batched = solve_batch(grid, method="closed-form", check_conditions=False)
-        assert_matches_scalar(grid, batched, method="closed-form")
-
-    def test_scalar_min_has_no_batched_form(self):
-        grid = ScenarioGrid(alpha=[0.5])
-        with pytest.raises(ParameterError, match="scalar-min"):
-            solve_batch(grid, method="scalar-min", check_conditions=False)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ParameterError):
-            solve_batch(ScenarioGrid(alpha=[0.5]), method="newton")
-
-    def test_lemma2_coefficients_reject_alpha_zero(self):
-        with pytest.raises(ParameterError):
-            lemma2_coefficients_batch(ScenarioGrid(alpha=[0.0, 0.5]))
-
-    def test_singular_exponent_rejected_outside_first_order(self):
-        grid = ScenarioGrid(alpha=[0.5], exponent=[1.0])
-        with pytest.raises(SingularExponentError):
-            solve_batch(grid, method="lemma2", check_conditions=False)
 
 
 class TestGainsEquivalence:

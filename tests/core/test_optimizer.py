@@ -301,7 +301,7 @@ class TestMinimizeObjectiveSnap:
     def test_snap_makes_exactly_three_objective_calls(self, monkeypatch):
         from types import SimpleNamespace
 
-        import repro.core.optimizer as optimizer_module
+        from scipy import optimize
 
         counting = self._CountingModel(BASE.replace(alpha=0.5).model())
 
@@ -310,16 +310,14 @@ class TestMinimizeObjectiveSnap:
             # objective, isolating the snap loop's own evaluations.
             return SimpleNamespace(success=True, x=0.5 * bounds[1], message="")
 
-        monkeypatch.setattr(
-            optimizer_module._scipy_optimize, "minimize_scalar", fake_minimize_scalar
-        )
+        monkeypatch.setattr(optimize, "minimize_scalar", fake_minimize_scalar)
         minimize_objective(counting)
         assert counting.calls == [0.5 * counting.capacity, 0.0, counting.capacity]
 
     def test_snap_prefers_boundary_when_it_ties_or_wins(self, monkeypatch):
         from types import SimpleNamespace
 
-        import repro.core.optimizer as optimizer_module
+        from scipy import optimize
 
         # Cost-dominant regime: x = 0 beats any interior candidate.
         model = BASE.replace(alpha=0.01, unit_cost=500.0).model()
@@ -327,9 +325,7 @@ class TestMinimizeObjectiveSnap:
         def fake_minimize_scalar(fun, *, bounds, method, options):
             return SimpleNamespace(success=True, x=0.5 * bounds[1], message="")
 
-        monkeypatch.setattr(
-            optimizer_module._scipy_optimize, "minimize_scalar", fake_minimize_scalar
-        )
+        monkeypatch.setattr(optimize, "minimize_scalar", fake_minimize_scalar)
         assert minimize_objective(model) == 0.0
 
     def test_matches_first_order_solver(self):

@@ -315,6 +315,68 @@ class TestServeCommand:
         assert "service.solve_latency_s" in text
 
 
+class TestScaleCommand:
+    ARGS = ("scale", "--routers", "72", "--regions", "4", "--requests", "4000",
+            "--catalog", "1000")
+
+    @staticmethod
+    def metrics(text):
+        return [line for line in text.splitlines() if line.startswith(
+            ("origin load", "local/peer", "mean hops", "mean latency"))]
+
+    def test_shard_counts_change_only_the_pool(self):
+        _, auto = run_cli(*self.ARGS)
+        code, two = run_cli(*self.ARGS, "--shards", "2")
+        assert code == 0
+        assert "2 worker shards" in two
+        code, serial = run_cli(*self.ARGS, "--shards", "0")
+        assert code == 0
+        assert "no worker shards" in serial
+        assert self.metrics(auto) == self.metrics(two) == self.metrics(serial)
+        assert len(self.metrics(serial)) == 4
+
+    def test_negative_shards_fail_cleanly(self, capsys):
+        code, text = run_cli(*self.ARGS, "--shards", "-1")
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "shard count must be a positive integer" in err
+        assert "Traceback" not in err
+
+
+class TestLibraryErrorsExitCleanly:
+    """Every ``ReproError`` ends the CLI with one stderr line and exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("solve", "--capacity", "0"), "capacity must be positive"),
+            (("solve", "-s", "2.5"), "Zipf exponent must lie in (0, 2)"),
+            (("sensitivity", "--alpha", "2"), "alpha must lie in [0, 1]"),
+        ],
+        ids=["zero-capacity", "exponent-out-of-range", "alpha-out-of-range"],
+    )
+    def test_bad_parameters(self, capsys, argv, message):
+        code, text = run_cli(*argv)
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, text = run_cli("run", "figure4", "--format", "csv", "-o", str(target))
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert f"cannot write {target}" in err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not target.parent.exists()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,136 +1,15 @@
-"""SARIF rendering, baseline workflow, and ``--fix`` round trips."""
+"""``--fix`` round trips: the mechanical R8/R9 fixes rewrite and re-lint."""
 
 import ast
 import io
-import json
 import shutil
 from pathlib import Path
 
-from repro.lint import lint_file, lint_paths
-from repro.lint.baseline import Baseline
+from repro.lint import lint_file
 from repro.lint.cli import main
 from repro.lint.fixes import apply_fixes
-from repro.lint.rules import rule_ids
-from repro.lint.sarif import SARIF_SCHEMA, SARIF_VERSION, to_sarif
 
 FIXTURES = Path(__file__).parent / "fixtures" / "repro"
-
-
-class TestSarif:
-    def _log(self):
-        diagnostics, _ = lint_file(FIXTURES / "core" / "r1_bad.py")
-        assert diagnostics, "fixture must produce findings"
-        return diagnostics, to_sarif(diagnostics)
-
-    def test_log_shape_is_sarif_2_1_0(self):
-        diagnostics, log = self._log()
-        assert log["$schema"] == SARIF_SCHEMA
-        assert log["version"] == SARIF_VERSION == "2.1.0"
-        assert len(log["runs"]) == 1
-        driver = log["runs"][0]["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        assert [r["id"] for r in driver["rules"]] == rule_ids()
-        assert all(
-            r["shortDescription"]["text"] for r in driver["rules"]
-        )
-        assert len(log["runs"][0]["results"]) == len(diagnostics)
-
-    def test_results_have_one_based_physical_locations(self):
-        diagnostics, log = self._log()
-        catalogue = [r["id"] for r in log["runs"][0]["tool"]["driver"]["rules"]]
-        for result, diagnostic in zip(log["runs"][0]["results"], diagnostics):
-            assert result["ruleId"] == diagnostic.rule_id
-            assert result["level"] in ("error", "warning")
-            assert result["message"]["text"] == diagnostic.message
-            region = result["locations"][0]["physicalLocation"]["region"]
-            assert region["startLine"] >= 1
-            # SARIF columns are 1-based; our AST columns are 0-based.
-            assert region["startColumn"] == diagnostic.col + 1
-            assert result["ruleIndex"] == catalogue.index(diagnostic.rule_id)
-
-    def test_artifact_uris_use_forward_slashes(self):
-        _, log = self._log()
-        for result in log["runs"][0]["results"]:
-            uri = result["locations"][0]["physicalLocation"][
-                "artifactLocation"
-            ]["uri"]
-            assert "\\" not in uri
-
-    def test_cli_sarif_output_is_parseable_json(self):
-        out = io.StringIO()
-        code = main(
-            [
-                "--no-cache",
-                "--format",
-                "sarif",
-                str(FIXTURES / "core" / "r1_bad.py"),
-            ],
-            out=out,
-        )
-        assert code == 1
-        log = json.loads(out.getvalue())
-        assert log["version"] == "2.1.0"
-        assert log["runs"][0]["results"]
-
-
-class TestBaseline:
-    def test_round_trip_hides_recorded_findings(self, tmp_path):
-        diagnostics, _ = lint_file(FIXTURES / "core" / "r1_bad.py")
-        baseline_path = tmp_path / "baseline.json"
-        Baseline.from_diagnostics(diagnostics).save(baseline_path)
-        loaded = Baseline.load(baseline_path)
-        new, baselined = loaded.split(diagnostics)
-        assert new == []
-        assert len(baselined) == len(diagnostics)
-
-    def test_unrecorded_findings_stay_new(self):
-        r1, _ = lint_file(FIXTURES / "core" / "r1_bad.py")
-        r3, _ = lint_file(FIXTURES / "core" / "r3_bad.py")
-        baseline = Baseline.from_diagnostics(r1)
-        new, baselined = baseline.split(r3)
-        assert baselined == []
-        assert len(new) == len(r3)
-
-    def test_matching_ignores_line_numbers(self, tmp_path):
-        diagnostics, _ = lint_file(FIXTURES / "core" / "r1_bad.py")
-        baseline = Baseline.from_diagnostics(diagnostics)
-        shifted = [
-            type(d)(
-                path=d.path,
-                line=d.line + 40,
-                col=d.col,
-                rule_id=d.rule_id,
-                rule_name=d.rule_name,
-                message=d.message,
-            )
-            for d in diagnostics
-        ]
-        new, baselined = baseline.split(shifted)
-        assert new == []
-        assert len(baselined) == len(shifted)
-
-    def test_cli_write_then_apply(self, tmp_path):
-        target = str(FIXTURES / "core" / "r1_bad.py")
-        baseline_path = tmp_path / "baseline.json"
-        out = io.StringIO()
-        assert (
-            main(
-                ["--no-cache", "--write-baseline", str(baseline_path), target],
-                out=out,
-            )
-            == 0
-        )
-        out = io.StringIO()
-        code = main(
-            ["--no-cache", "--baseline", str(baseline_path), target], out=out
-        )
-        assert code == 0
-        assert "baselined finding(s) hidden" in out.getvalue()
-
-    def test_cli_unreadable_baseline_is_usage_error(self, tmp_path):
-        missing = tmp_path / "nope.json"
-        target = str(FIXTURES / "core" / "r1_bad.py")
-        assert main(["--no-cache", "--baseline", str(missing), target]) == 2
 
 
 def _copy_into_package(tmp_path: Path, fixture: str) -> Path:

@@ -1,4 +1,4 @@
-"""CLI integration: --obs recording, obs summarize, --parallel smoke."""
+"""CLI integration: --obs recording, obs summarize, --solver scalar smoke."""
 
 from __future__ import annotations
 
@@ -33,10 +33,10 @@ class TestRunWithObs:
         }
         assert "experiment.table1" in manifest["phases"]
 
-    def test_run_parallel_smoke(self, tmp_path):
+    def test_run_scalar_records_point_spans(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
         code, text = run_cli(
-            "run", "figure4", "--parallel", "2", "--obs", str(events_path)
+            "run", "figure4", "--solver", "scalar", "--obs", str(events_path)
         )
         assert code == 0
         assert "Figure 4" in text
@@ -45,22 +45,20 @@ class TestRunWithObs:
             e["name"]: e["value"] for e in events if e["type"] == "counter"
         }
         assert counters["sweep.grid_points"] > 0
-        # Worker spans were merged back (live or via serial fallback).
         spans = [
-            e for e in events if e["type"] in ("span", "span_merge")
-            and e["name"] == "sweep.point"
+            e for e in events if e["type"] == "span" and e["name"] == "sweep.point"
         ]
-        assert spans
+        assert len(spans) == counters["sweep.grid_points"]
 
-    def test_run_parallel_without_obs(self):
-        code, text = run_cli("run", "figure4", "--parallel", "2")
+    def test_run_scalar_without_obs(self):
+        code, text = run_cli("run", "figure4", "--solver", "scalar")
         assert code == 0
         assert "Figure 4" in text
 
-    def test_parallel_output_identical_to_serial(self):
-        _, serial = run_cli("run", "figure4")
-        _, parallel = run_cli("run", "figure4", "--parallel", "2")
-        assert serial == parallel
+    def test_scalar_output_identical_to_default(self):
+        _, default = run_cli("run", "figure4")
+        _, scalar = run_cli("run", "figure4", "--solver", "scalar")
+        assert scalar == default
 
     def test_unwritable_obs_path_is_exit_2(self, tmp_path):
         code, _ = run_cli(

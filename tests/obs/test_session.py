@@ -121,33 +121,17 @@ class TestSnapshotMerge:
         assert manifest["provenance"]["python"]
 
 
-class TestParallelSweepMerge:
-    """The acceptance-critical path: worker capture sessions merge back."""
-
-    def _sweep(self, parallel):
-        return sweep(
-            BASE_SCENARIO,
-            x_field="alpha",
-            x_values=(0.2, 0.4, 0.6, 0.8),
-            quantity="level",
-            parallel=parallel,
-        )
-
-    def test_parallel_sweep_merges_worker_spans(self):
+class TestSweepSpans:
+    def test_scalar_sweep_records_a_span_per_point(self):
         with session() as active:
-            parallel_series = self._sweep(2)
+            sweep(
+                BASE_SCENARIO,
+                x_field="alpha",
+                x_values=(0.2, 0.4, 0.6, 0.8),
+                quantity="level",
+                solver="scalar",
+            )
         snap = active.snapshot()
-        # Every grid point produced exactly one sweep.point span, whether
-        # measured in a worker (absorbed) or the parent (serial fallback).
         assert snap["spans"]["sweep.point"]["count"] == 4
         assert snap["counters"]["sweep.grid_points"] == 4.0
         assert snap["spans"]["sweep.grid"]["count"] == 1
-        # Observed solving changed nothing about the numbers.
-        assert parallel_series == self._sweep(None)
-
-    def test_serial_sweep_records_same_shape(self):
-        with session() as active:
-            self._sweep(None)
-        snap = active.snapshot()
-        assert snap["spans"]["sweep.point"]["count"] == 4
-        assert "sweep.worker_snapshots" not in snap["counters"]

@@ -344,16 +344,6 @@ class TestKernelTableGuards:
 
 
 class TestShardResolution:
-    def test_matches_resolve_parallel_sharded_mode(self, hierarchy):
-        from repro.analysis.sweep import resolve_parallel
-        from repro.obs import available_cpus
-        from repro.simulation.sharded import _resolve_shards
-
-        regions = hierarchy.region_count
-        assert _resolve_shards("auto", regions, available_cpus()) == (
-            resolve_parallel("auto", regions, sharded=True)
-        )
-
     def test_explicit_counts_cap_at_regions(self):
         from repro.simulation.sharded import _resolve_shards
 
@@ -362,3 +352,10 @@ class TestShardResolution:
         assert _resolve_shards(2, 8, 4) == 2
         assert _resolve_shards("auto", 8, 4) == 4
         assert _resolve_shards("auto", 2, 4) == 2
+
+    @pytest.mark.parametrize("shards", [0, -1, 2.5, "many"])
+    def test_rejects_invalid_counts(self, shards):
+        from repro.simulation.sharded import _resolve_shards
+
+        with pytest.raises(ParameterError):
+            _resolve_shards(shards, 8, 4)

@@ -128,3 +128,33 @@ class TestVersionMetadata:
     def test_top_level_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+class TestImportCost:
+    def test_core_packages_do_not_load_scipy(self):
+        # scipy.optimize is imported inside the few functions that call
+        # it; importing the package must not pay for it.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        code = (
+            "import sys\n"
+            "import repro, repro.core, repro.service, repro.simulation\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -1,5 +1,7 @@
 """Determinism + structure tests for the hierarchical ISP generator."""
 
+import hashlib
+
 import networkx as nx
 import pytest
 
@@ -14,6 +16,20 @@ def edge_list(topology):
         (min(u, v), max(u, v), data["latency_ms"], data["distance_km"])
         for u, v, data in topology.graph.edges(data=True)
     )
+
+
+def hierarchy_digest(topology):
+    """sha256 of the sorted (u, v, latency) edges and the sorted roles."""
+    digest = hashlib.sha256()
+    edges = sorted(
+        (min(u, v), max(u, v), data["latency_ms"])
+        for u, v, data in topology.graph.edges(data=True)
+    )
+    for u, v, latency in edges:
+        digest.update(f"{u} {v} {latency.hex()}\n".encode())
+    for node, role in sorted(topology.roles().items()):
+        digest.update(f"{node} {role}\n".encode())
+    return digest.hexdigest()
 
 
 class TestDeterminism:
@@ -138,12 +154,32 @@ class TestStructure:
 
 
 class TestScale:
-    def test_five_thousand_routers_generate(self):
-        h = generate_hierarchy(0, routers=5000, regions=100)
+    @pytest.fixture(scope="class")
+    def five_thousand(self):
+        return {
+            seed: generate_hierarchy(seed, routers=5000, regions=100)
+            for seed in (0, 1)
+        }
+
+    def test_five_thousand_routers_generate(self, five_thousand):
+        h = five_thousand[0]
         assert h.n_routers == 5000
         assert h.region_count == 100
         sizes = [len(h.region_nodes(r)) for r in range(100)]
         assert max(sizes) - min(sizes) <= 1
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (0, "b91c5ba7159208e7d4cb380d40799185f32627b1b48ab255fcd578bdcd9c7726"),
+            (1, "1afe526b9a931a2187998111a75a97cf11dd6c6700cf6a53f5af0bd0b8ef9098"),
+        ],
+        ids=["seed0", "seed1"],
+    )
+    def test_edges_latencies_and_roles_are_pinned(
+        self, five_thousand, seed, expected
+    ):
+        assert hierarchy_digest(five_thousand[seed]) == expected
 
 
 class TestValidation:
