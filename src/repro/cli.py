@@ -42,15 +42,21 @@ __all__ = ["main", "build_parser"]
 
 
 def _shard_count(value: str):
-    """``--shards`` argument: an integer worker count or ``auto``."""
+    """``--shards`` argument: a non-negative worker count or ``auto``."""
     if value == "auto":
         return value
     try:
-        return int(value)
+        count = int(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected an integer worker count or 'auto', got {value!r}"
         ) from None
+    if count < 0:
+        raise argparse.ArgumentTypeError(
+            f"shard count must be a positive integer, 0 (in-process) or "
+            f"'auto', got {count}"
+        )
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -919,7 +925,10 @@ def _dispatch(argv: Optional[Sequence[str]], out) -> int:
         from .lint.cli import main as lint_main
 
         return lint_main(argv_list[1:], out=out)
-    args = build_parser().parse_args(argv_list)
+    try:
+        args = build_parser().parse_args(argv_list)
+    except SystemExit as exc:  # argparse: usage errors exit 2, --help 0
+        return int(exc.code or 0)
     if args.command == "list":
         for name, fn in ALL_EXPERIMENTS.items():
             doc = (fn.__doc__ or "").strip().splitlines()[0]

@@ -42,8 +42,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "paths",
         nargs="*",
-        default=["src"],
-        help="files or directories to lint (default: src)",
+        default=["src", "tests"],
+        help=(
+            "files or directories to lint (default: src tests, so R10 "
+            "sees the tests' references to public names)"
+        ),
     )
     parser.add_argument(
         "--format",

@@ -31,9 +31,11 @@ class TestLiveTree:
         assert result.exit_code == 0
         assert result.files_checked > 50
 
-    def test_cli_exits_zero_on_src(self):
+    def test_cli_exits_zero_on_src(self, monkeypatch):
+        # No paths: the default (src and tests, from the repo root).
+        monkeypatch.chdir(REPO_TESTS.parent)
         out = io.StringIO()
-        assert main(["--no-cache", str(REPO_SRC), str(REPO_TESTS)], out=out) == 0
+        assert main(["--no-cache"], out=out) == 0
         assert "0 finding(s)" in out.getvalue()
 
     def test_cli_exits_nonzero_on_bad_fixture(self):
