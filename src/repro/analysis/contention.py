@@ -37,6 +37,7 @@ artifact but a model-stress experiment, exposed via ``repro ccn
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -66,9 +67,9 @@ class ContentionConfig:
     queue: Optional[CacheQueue] = None
 
     def __post_init__(self) -> None:
-        if self.interarrival_ms < 0:
+        if not (math.isfinite(self.interarrival_ms) and self.interarrival_ms >= 0):
             raise ParameterError(
-                f"interarrival must be non-negative, got {self.interarrival_ms}"
+                f"interarrival must be finite and non-negative, got {self.interarrival_ms}"
             )
 
 

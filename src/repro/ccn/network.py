@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Hashable, Mapping, Optional
 
@@ -459,9 +460,9 @@ class CCNNetwork:
         concurrent Interests for the same name aggregate in PITs —
         behaviour the flow-level simulator cannot capture.
         """
-        if interarrival_ms < 0:
+        if not (math.isfinite(interarrival_ms) and interarrival_ms >= 0):
             raise ParameterError(
-                f"interarrival must be non-negative, got {interarrival_ms}"
+                f"interarrival must be finite and non-negative, got {interarrival_ms}"
             )
         for i, request in enumerate(workload.requests(count)):
             self._now = i * interarrival_ms

@@ -39,6 +39,11 @@ class TestContentionConfig:
         with pytest.raises(ParameterError):
             ContentionConfig("bad", -1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_interarrival(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            ContentionConfig("bad", bad)
+
     def test_default_configs_escalate(self):
         # Ordered from the model's world to the hostile one.
         assert DEFAULT_CONTENTION_CONFIGS[0].queue is None

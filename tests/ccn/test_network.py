@@ -53,6 +53,13 @@ class TestBasics:
         with pytest.raises(SimulationError):
             net.issue("Z", 1)
 
+    @pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_interarrival(self, triangle, bad):
+        net = make_network(triangle)
+        workload = IRMWorkload(ZipfModel(0.8, 100), triangle.nodes, seed=0)
+        with pytest.raises(ParameterError, match="finite and non-negative"):
+            net.run_workload(workload, 10, interarrival_ms=bad)
+
 
 class TestForwarding:
     def test_local_hit_zero_hops(self, triangle):
