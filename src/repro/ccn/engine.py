@@ -1532,9 +1532,7 @@ class BatchedCCNEngine:
                 f"schedule arrays disagree: {len(clients)} clients, "
                 f"{count} ranks, {len(times_ms)} times"
             )
-        clients_idx = np.fromiter(
-            (self._index[c] for c in clients), dtype=np.int64, count=count
-        )
+        clients_idx = self._client_indices(clients)
         rank_arr = np.asarray(ranks, dtype=np.int64)
         time_arr = np.asarray(times_ms, dtype=np.float64)
         if count and int(rank_arr.min()) < 1:
@@ -1559,21 +1557,37 @@ class BatchedCCNEngine:
                 f"interarrival must be finite and non-negative, got {interarrival_ms}"
             )
         batch = workload.sample_batch(count)
-        palette = np.fromiter(
-            (self._index[c] for c in batch.clients),
-            dtype=np.int64,
-            count=len(batch.clients),
-        )
-        clients_idx = (
-            palette[batch.client_index]
-            if len(batch.clients)
-            else np.empty(0, dtype=np.int64)
-        )
+        clients_idx = self._client_indices(batch.clients, batch.client_index)
         times = np.arange(len(clients_idx), dtype=np.float64) * float(
             interarrival_ms
         )
         ranks = np.asarray(batch.ranks, dtype=np.int64)
         return clients_idx, ranks, times
+
+    def _client_indices(
+        self,
+        palette: Sequence[NodeId],
+        client_index: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Topology index of each request's client.
+
+        The clients are ``palette`` itself, or ``palette[client_index]``
+        for a sampled batch.  A request from a node outside the topology
+        raises the ``SimulationError`` that ``CCNNetwork.issue`` raises
+        for it; an unrequested palette entry does not.
+        """
+        get = self._index.get
+        idx = np.fromiter(
+            (get(c, -1) for c in palette), dtype=np.int64, count=len(palette)
+        )
+        if client_index is not None:
+            idx = idx[client_index] if len(palette) else np.empty(0, dtype=np.int64)
+        if idx.size and int(idx.min()) < 0:
+            first = int(np.argmin(idx))
+            if client_index is not None:
+                first = int(client_index[first])
+            raise SimulationError(f"unknown client router {palette[first]!r}")
+        return idx
 
     def _run(
         self,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from collections import OrderedDict
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -217,20 +217,17 @@ class LFUCache(CachePolicy):
         return frozenset(self._frequency)
 
     def kernel_state(self) -> tuple[dict[int, int], dict[int, int], int]:
-        """``(frequency, last_used, clock)`` snapshot for the batched kernel.
+        """``(frequency, last_used, clock)`` for the batched kernel.
 
-        The kernel mirrors this into frequency/last-used arrays for
-        argmin eviction and hands the result back through
-        :meth:`restore_kernel_state` when the run finishes.
+        The dicts are live: the kernel updates them in place exactly as
+        :meth:`_touch`/:meth:`_admit` do (it finds victims through its
+        own frequency buckets) and hands the final clock back through
+        :meth:`restore_kernel_state`.
         """
         return self._frequency, self._last_used, self._clock
 
-    def restore_kernel_state(
-        self, frequency: dict[int, int], last_used: dict[int, int], clock: int
-    ) -> None:
-        """Install the kernel's post-run ``(frequency, last_used, clock)``."""
-        self._frequency = dict(frequency)
-        self._last_used = dict(last_used)
+    def restore_kernel_state(self, clock: int) -> None:
+        """Install the kernel's post-run eviction clock."""
         self._clock = int(clock)
 
 
@@ -285,20 +282,15 @@ class PerfectLFUCache(CachePolicy):
     def kernel_state(self) -> tuple[dict[int, int], dict[int, int], set[int], int]:
         """``(global_frequency, last_used, stored, clock)`` for the kernel.
 
-        The dict references are live — the kernel keeps updating the
-        global frequency table in place (it must cover evicted ranks
-        too), mirrors the stored set into argmin arrays, and hands the
-        final membership back via :meth:`restore_kernel_state`.
+        The dicts and the set are live: the kernel updates them in
+        place exactly as :meth:`_touch`/:meth:`_admit` do (the global
+        table keeps covering evicted ranks) and hands the final clock
+        back through :meth:`restore_kernel_state`.
         """
         return self._global_frequency, self._last_used, self._stored, self._clock
 
-    def restore_kernel_state(self, stored: Iterable[int], clock: int) -> None:
-        """Install the kernel's post-run stored set and clock.
-
-        The frequency/last-used dicts are shared with the kernel and
-        already up to date.
-        """
-        self._stored = set(stored)
+    def restore_kernel_state(self, clock: int) -> None:
+        """Install the kernel's post-run eviction clock."""
         self._clock = int(clock)
 
 
@@ -329,14 +321,11 @@ class FIFOCache(CachePolicy):
     def kernel_state(self) -> "OrderedDict[int, None]":
         """The live insertion-order map, oldest first.
 
-        The batched kernel copies it into a ring buffer and returns the
-        final order through :meth:`restore_kernel_state`.
+        The batched kernel mutates it in place (same appends and
+        oldest-first pops as :meth:`_admit`), so no write-back step is
+        needed.
         """
         return self._order
-
-    def restore_kernel_state(self, order: Iterable[int]) -> None:
-        """Replace the contents with ``order`` (oldest first)."""
-        self._order = OrderedDict((int(r), None) for r in order)
 
 
 class RandomCache(CachePolicy):
@@ -384,10 +373,11 @@ class RandomCache(CachePolicy):
     ) -> tuple[list[int], dict[int, int], np.random.Generator]:
         """``(items, positions, rng)`` live references.
 
-        The batched kernel mutates them in place and draws victims from
-        the same generator in the same order as :meth:`_admit`, so the
-        random stream continues seamlessly across scalar and batched
-        segments.
+        The batched kernel mutates them in place with :meth:`_admit`'s
+        swap-remove and draws the same victims from the same generator
+        (in bulk, rewinding the unused draws when its run finishes), so
+        the random stream continues seamlessly across scalar and
+        batched segments.
         """
         return self._items, self._positions, self._rng
 

@@ -10,13 +10,20 @@ is everything around the state machine: custodian assignment
 (``rank % n`` over a whole column), the per-(client, custodian) peer
 and origin cost tables, tier/latency aggregation and per-store
 statistics (``np.bincount``), and the workload columns themselves.  The
-per-request residue is a minimal Python loop over flat engine state —
-the C-implemented ordered map for LRU recency, a ring buffer plus
-membership set for FIFO, frequency/last-used arrays with lexicographic
-argmin eviction for the LFU family, and the policy's own generator
-stream for Random — which emits one small *outcome code* per request;
-metrics and store counters are then derived from the code array in
-bulk.
+per-request residue is a minimal Python loop that emits one small
+*outcome code* per request; metrics and store counters are then derived
+from the code array in bulk.  The loop makes no NumPy call, and no
+policy's per-request cost grows with the store size:
+
+- LRU and FIFO run on the policies' own C-implemented ordered maps
+  (move-to-end / append, pop-oldest);
+- LFU and PerfectLFU find victims through frequency buckets (one
+  insertion-ordered map of stored ranks per count, Shah, Mitra & Matani
+  2010), whose lowest non-empty bucket starts with the scalar
+  ``min(key=(count, last_used))``;
+- Random takes victim positions from chunks drawn in advance from the
+  policy's own generator and rewinds the unused draws at the end of the
+  run, so the stream ends where the scalar loop leaves it.
 
 The contract is exact equivalence with the scalar path: same tier
 counts, same per-store hit/miss counters, same final cache contents
@@ -34,7 +41,9 @@ requests per second (DESIGN.md §11).
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import partial
 from typing import Hashable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -120,209 +129,61 @@ class DynamicBatchAggregate:
     served_by_counts: np.ndarray
 
 
-def _ring_admit(member: set, buf: list, heads: list, sizes: list, i: int, slots: int, r: int) -> None:
-    """FIFO ring-buffer admission for store ``i`` (oldest slot at ``heads[i]``).
+#: Victim positions a Random store draws from its generator in one
+#: ``integers(slots, size=...)`` call.  Bounded draws fill sequentially
+#: from the bit stream, so a chunk's first k values and the generator
+#: state after them equal k scalar ``integers(slots)`` calls;
+#: :func:`_bind_random` rewinds the unused tail at the end of the run.
+_RANDOM_DRAW_CHUNK = 1024
 
-    In-place by contract: ``buf``/``heads``/``sizes`` ARE the engine's
-    per-store state, updated through the alias on purpose.
+
+def _checked(store, slots: int):
+    """``store``, once its capacity is the kernel's slot count.
+
+    Every engine bounds a store by the kernel's slot count (LRU/FIFO
+    over-capacity pops, the LFU family's full-store test, Random's draw
+    bound); a store of another capacity would silently leave the scalar
+    path.
     """
-    if sizes[i] == slots:
-        head = heads[i]
-        member.discard(buf[head])
-        buf[head] = r  # repro-lint: disable=R4
-        heads[i] = head + 1 if head + 1 < slots else 0  # repro-lint: disable=R4
-    else:
-        buf.append(r)
-        sizes[i] += 1  # repro-lint: disable=R4
-    member.add(r)
-
-
-def _random_admit(items: list, positions: dict, rng: np.random.Generator, slots: int, r: int) -> None:
-    """Reproduce ``RandomCache._admit`` exactly — same draw sequence, same swap-remove.
-
-    In-place by contract: ``items``/``positions`` ARE the live store's
-    state (shared via ``kernel_state``), updated through the alias.
-    """
-    if len(items) >= slots:
-        victim_pos = int(rng.integers(len(items)))
-        evicted = items[victim_pos]
-        last = items.pop()
-        if victim_pos < len(items):
-            items[victim_pos] = last  # repro-lint: disable=R4
-            positions[last] = victim_pos  # repro-lint: disable=R4
-        del positions[evicted]
-    positions[r] = len(items)  # repro-lint: disable=R4
-    items.append(r)
-
-
-def _argmin_slot(freq: np.ndarray, last_used: np.ndarray, size: int) -> int:
-    """Lexicographic ``(frequency, last-used)`` argmin over the first ``size`` slots.
-
-    Matches the scalar ``min(..., key=lambda r: (freq[r], last_used[r]))``
-    victim choice; the minimizer is unique because last-used clocks are
-    distinct among stored items.
-    """
-    window = freq[:size]
-    ties = np.flatnonzero(window == window.min())
-    if ties.shape[0] == 1:
-        return int(ties[0])
-    return int(ties[np.argmin(last_used[ties])])
-
-
-class _LFUState:
-    """Array mirror of one ``LFUCache`` partition (slots ↔ stored ranks)."""
-
-    __slots__ = ("store", "slot_of", "slot_rank", "freq", "last_used", "size", "clock")
-
-    def __init__(self, store, slots: int):
-        frequency, last_used, clock = store.kernel_state()
-        self.store = store
-        self.slot_rank = list(frequency)
-        self.slot_of = {r: s for s, r in enumerate(self.slot_rank)}
-        self.freq = np.zeros(max(slots, 1), dtype=np.int64)
-        self.last_used = np.zeros(max(slots, 1), dtype=np.int64)
-        for s, r in enumerate(self.slot_rank):
-            self.freq[s] = frequency[r]
-            self.last_used[s] = last_used[r]
-        self.size = len(self.slot_rank)
-        self.clock = clock
-
-    def write_back(self) -> None:
-        """Rebuild the policy's frequency/last-used dicts from the slots."""
-        ranks = self.slot_rank
-        frequency = {r: int(f) for r, f in zip(ranks, self.freq[: self.size].tolist())}
-        last_used = {r: int(t) for r, t in zip(ranks, self.last_used[: self.size].tolist())}
-        self.store.restore_kernel_state(frequency, last_used, self.clock)
-
-
-def _lfu_admit(st: _LFUState, slots: int, r: int) -> None:
-    """In-cache LFU admission: evict the coldest stored rank, insert fresh."""
-    st.clock += 1
-    clk = st.clock
-    if st.size >= slots:
-        s = _argmin_slot(st.freq, st.last_used, st.size)
-        del st.slot_of[st.slot_rank[s]]
-        st.slot_rank[s] = r
-    else:
-        s = st.size
-        st.slot_rank.append(r)
-        st.size = s + 1
-    st.slot_of[r] = s
-    st.freq[s] = 1
-    st.last_used[s] = clk
-
-
-class _PLFUState:
-    """Array mirror of one ``PerfectLFUCache`` partition.
-
-    The global frequency and last-used dicts are the policy's own (they
-    must keep covering evicted ranks), mutated in place; only the stored
-    membership is mirrored into slots.
-    """
-
-    __slots__ = ("store", "gfreq", "lu", "slot_of", "slot_rank", "freq", "last_used", "size", "clock")
-
-    def __init__(self, store, slots: int):
-        gfreq, last_used, stored, clock = store.kernel_state()
-        self.store = store
-        self.gfreq = gfreq
-        self.lu = last_used
-        self.slot_rank = list(stored)
-        self.slot_of = {r: s for s, r in enumerate(self.slot_rank)}
-        self.freq = np.zeros(max(slots, 1), dtype=np.int64)
-        self.last_used = np.zeros(max(slots, 1), dtype=np.int64)
-        for s, r in enumerate(self.slot_rank):
-            self.freq[s] = gfreq.get(r, 0)
-            self.last_used[s] = last_used.get(r, 0)
-        self.size = len(self.slot_rank)
-        self.clock = clock
-
-    def write_back(self) -> None:
-        """Hand the final stored set and clock back (dicts are shared)."""
-        self.store.restore_kernel_state(self.slot_rank, self.clock)
-
-
-def _plfu_admit(st: _PLFUState, slots: int, r: int) -> None:
-    """Perfect-LFU admission: never displace a strictly hotter victim."""
-    st.clock += 1
-    clk = st.clock
-    gf = st.gfreq.get(r, 0) + 1
-    st.gfreq[r] = gf
-    st.lu[r] = clk
-    if st.size < slots:
-        s = st.size
-        st.slot_rank.append(r)
-        st.size = s + 1
-    else:
-        s = _argmin_slot(st.freq, st.last_used, st.size)
-        if gf <= st.freq[s]:
-            return
-        del st.slot_of[st.slot_rank[s]]
-        st.slot_rank[s] = r
-    st.slot_of[r] = s
-    st.freq[s] = gf
-    st.last_used[s] = clk
+    if store.capacity != slots:
+        raise SimulationError(
+            f"store capacity {store.capacity} does not match the "
+            f"kernel's {slots} slots"
+        )
+    return store
 
 
 class _EngineBase:
-    """Per-policy batch state machine; one instance per kernel run.
-
-    Subclasses provide ``_lookup_local`` / ``_admit_local`` /
-    ``_lookup_coordinated`` / ``_admit_coordinated`` hooks (a lookup
-    performs the policy's hit bookkeeping, an admit its eviction) and
-    may override :meth:`process` entirely when the extra method-call
-    indirection matters (LRU, the throughput-gated path, does).
-    """
+    """Per-policy batch state machine; one instance per kernel run."""
 
     def __init__(self, local_slots: int, coordinated_slots: int):
         self._local_slots = int(local_slots)
         self._coordinated_slots = int(coordinated_slots)
 
-    def process(
-        self, ranks: list, clients: list, custodians: Optional[list]
-    ) -> bytearray:
-        """Advance the caches over one batch, returning outcome codes.
-
-        The loop is the scalar ``DynamicSimulator._resolve`` flow with
-        all routing/metric work stripped out: local probe, (optionally)
-        custodian probe, admissions — state mutation and a code only.
-        Codes come back as a ``bytearray`` so the caller can wrap them
-        in a numpy view without a copy.
-        """
-        codes = bytearray()
-        append = codes.append
-        lookup_local = self._lookup_local
-        admit_local = self._admit_local
-        if custodians is None:
-            for r, c in zip(ranks, clients):
-                if lookup_local(c, r):
-                    append(0)
-                else:
-                    append(5)
-                    admit_local(c, r)
-            return codes
-        lookup_coordinated = self._lookup_coordinated
-        admit_coordinated = self._admit_coordinated
-        for r, c, k in zip(ranks, clients, custodians):
-            if lookup_local(c, r):
-                append(0)
-                continue
-            if lookup_coordinated(k, r):
-                if c == k:
-                    append(1)
-                    continue
-                append(2)
-            else:
-                append(4 if c == k else 3)
-                admit_coordinated(k, r)
-            admit_local(c, r)
-        return codes
-
     def finish(self) -> None:
-        """Write any mirrored state back to the policies (default: none)."""
+        """Write any engine-held state back to the policies (default: none)."""
 
 
-class _LRUEngine(_EngineBase):
+class _LiveMapEngine(_EngineBase):
+    """Binds the policies' live ordered maps (LRU recency, FIFO insertion)."""
+
+    def __init__(self, routers: Sequence[CCNRouter], local_slots: int, coordinated_slots: int):
+        super().__init__(local_slots, coordinated_slots)
+        self._local = tuple(
+            _checked(r.local_store, self._local_slots).kernel_state()
+            for r in routers
+        )
+        self._coordinated = (
+            tuple(
+                _checked(r.coordinated_store, self._coordinated_slots).kernel_state()
+                for r in routers
+            )
+            if coordinated_slots
+            else None
+        )
+
+
+class _LRUEngine(_LiveMapEngine):
     """LRU over the policies' live ordered maps (shared state, no sync).
 
     The recency structure *is* the policy's ``OrderedDict`` — measured
@@ -330,15 +191,6 @@ class _LRUEngine(_EngineBase):
     because move-to-end/popitem are single C calls (DESIGN.md §11).
     The loop is hand-inlined: this is the throughput-gated path.
     """
-
-    def __init__(self, routers: Sequence[CCNRouter], local_slots: int, coordinated_slots: int):
-        super().__init__(local_slots, coordinated_slots)
-        self._local = tuple(r.local_store.kernel_state() for r in routers)
-        self._coordinated = (
-            tuple(r.coordinated_store.kernel_state() for r in routers)
-            if coordinated_slots
-            else None
-        )
 
     def process(
         self, ranks: list, clients: list, custodians: Optional[list]
@@ -387,197 +239,320 @@ class _LRUEngine(_EngineBase):
         return codes
 
 
-class _FIFOEngine(_EngineBase):
-    """FIFO via ring buffers + membership sets, synced back at finish."""
+class _FIFOEngine(_LiveMapEngine):
+    """FIFO over the policies' live insertion-order maps (no sync).
 
-    def __init__(self, routers: Sequence[CCNRouter], local_slots: int, coordinated_slots: int):
-        super().__init__(local_slots, coordinated_slots)
-        self._local_stores = [r.local_store for r in routers]
-        self._lmember, self._lbuf, self._lhead, self._lsize = self._bind(self._local_stores)
-        if coordinated_slots:
-            self._coordinated_stores = [r.coordinated_store for r in routers]
-            self._cmember, self._cbuf, self._chead, self._csize = self._bind(
-                self._coordinated_stores
-            )
-        else:
-            self._coordinated_stores = []
-
-    @staticmethod
-    def _bind(stores):
-        members, bufs, heads, sizes = [], [], [], []
-        for store in stores:
-            order = list(store.kernel_state())
-            members.append(set(order))
-            bufs.append(order)
-            heads.append(0)
-            sizes.append(len(order))
-        return members, bufs, heads, sizes
-
-    def _lookup_local(self, c: int, r: int) -> bool:
-        return r in self._lmember[c]
-
-    def _admit_local(self, c: int, r: int) -> None:
-        if self._local_slots:
-            _ring_admit(
-                self._lmember[c], self._lbuf[c], self._lhead, self._lsize, c, self._local_slots, r
-            )
-
-    def _lookup_coordinated(self, k: int, r: int) -> bool:
-        return r in self._cmember[k]
-
-    def _admit_coordinated(self, k: int, r: int) -> None:
-        _ring_admit(
-            self._cmember[k], self._cbuf[k], self._chead, self._csize, k, self._coordinated_slots, r
-        )
-
-    def finish(self) -> None:
-        """Rebuild each policy's insertion-order map from its ring."""
-        for stores, bufs, heads, sizes, slots in (
-            (self._local_stores, self._lbuf, self._lhead, self._lsize, self._local_slots),
-            (
-                self._coordinated_stores,
-                getattr(self, "_cbuf", []),
-                getattr(self, "_chead", []),
-                getattr(self, "_csize", []),
-                self._coordinated_slots,
-            ),
-        ):
-            for store, buf, head, size in zip(stores, bufs, heads, sizes):
-                order = buf[head:] + buf[:head] if size == slots and head else buf
-                store.restore_kernel_state(order)
-
-
-class _RandomEngine(_EngineBase):
-    """Random eviction on the policies' live items/positions/rng (no sync).
-
-    Victims are drawn from the same generator objects in the same order
-    as the scalar path, so the random streams — and therefore the
-    contents — are identical request for request.
+    The LRU loop without the move-to-end: a hit leaves the rank where
+    it is, an admit appends and pops the oldest entry once the store
+    is over capacity — ``FIFOCache._admit``'s transitions exactly.
     """
 
-    def __init__(self, routers: Sequence[CCNRouter], local_slots: int, coordinated_slots: int):
-        super().__init__(local_slots, coordinated_slots)
-        self._local = [r.local_store.kernel_state() for r in routers]
-        self._coordinated = (
-            [r.coordinated_store.kernel_state() for r in routers]
-            if coordinated_slots
-            else None
+    def process(
+        self, ranks: list, clients: list, custodians: Optional[list]
+    ) -> bytearray:
+        """Advance the FIFO maps over one batch, returning outcome codes."""
+        codes = bytearray()
+        append = codes.append
+        lo = self._local
+        lslots = self._local_slots
+        if custodians is None:
+            for r, c in zip(ranks, clients):
+                od = lo[c]
+                if r in od:
+                    append(0)
+                else:
+                    append(5)
+                    od[r] = None
+                    if len(od) > lslots:
+                        od.popitem(last=False)
+            return codes
+        co = self._coordinated
+        cslots = self._coordinated_slots
+        for r, c, k in zip(ranks, clients, custodians):
+            od = lo[c]
+            if r in od:
+                append(0)
+                continue
+            cod = co[k]
+            if r in cod:
+                if c == k:
+                    append(1)
+                    continue
+                append(2)
+            else:
+                append(4 if c == k else 3)
+                cod[r] = None
+                if len(cod) > cslots:
+                    cod.popitem(last=False)
+            if lslots:
+                od[r] = None
+                if len(od) > lslots:
+                    od.popitem(last=False)
+        return codes
+
+
+def _ignore(*_args) -> None:
+    """The touch/admit/finish of a store that keeps no bookkeeping."""
+
+
+def _bind_lfu(store, slots: int, *, perfect: bool = False) -> tuple:
+    """LFU over frequency buckets (Shah, Mitra & Matani, 2010).
+
+    ``buckets[f]`` holds the stored ranks of count ``f`` in last-used
+    order: a rank enters a bucket at the current clock, later than
+    every stored last-used time, so the first rank of bucket ``minf``
+    is the scalar ``min(key=(count, last_used))``.  In-cache LFU counts
+    stored ranks only; ``perfect`` keys the buckets by the global
+    counts of ``PerfectLFUCache`` instead and keeps its ``<=``
+    never-displace-hotter rule.  The policy's own dicts (and stored
+    set) are updated in place exactly as its ``_touch``/``_admit`` do;
+    only the clock is written back.
+    """
+    if perfect:
+        counts, last_used, stored, clock = store.kernel_state()
+    else:
+        counts, last_used, clock = store.kernel_state()
+        stored = counts
+    buckets: dict[int, OrderedDict] = {}
+    for rank in sorted(stored, key=last_used.__getitem__):
+        buckets.setdefault(counts[rank], OrderedDict())[rank] = None
+    minf = min(buckets, default=0)
+
+    def touch(r: int) -> None:
+        nonlocal clock, minf
+        clock += 1
+        f = counts[r]
+        g = f + 1
+        counts[r] = g
+        last_used[r] = clock
+        bucket = buckets[f]
+        del bucket[r]
+        up = buckets.get(g)
+        if up is None:
+            if bucket:
+                up = buckets[g] = OrderedDict()
+            else:
+                # Reuse the emptied bucket: a lone hot rank climbs
+                # without allocating.
+                del buckets[f]
+                up = buckets[g] = bucket
+                if f == minf:
+                    minf = g
+        elif not bucket:
+            del buckets[f]
+            if f == minf:
+                minf = g
+        up[r] = None
+
+    def admit(r: int) -> None:
+        nonlocal clock, minf
+        clock += 1
+        if len(counts) >= slots:
+            bucket = buckets[minf]
+            victim = bucket.popitem(last=False)[0]
+            if not bucket:
+                del buckets[minf]
+            del counts[victim]
+            del last_used[victim]
+        counts[r] = 1
+        last_used[r] = clock
+        ones = buckets.get(1)
+        if ones is None:
+            ones = buckets[1] = OrderedDict()
+        ones[r] = None
+        minf = 1
+
+    def admit_perfect(r: int) -> None:
+        nonlocal clock, minf
+        clock += 1
+        gf = counts.get(r, 0) + 1
+        counts[r] = gf
+        last_used[r] = clock
+        if len(stored) >= slots:
+            if gf <= minf:
+                return
+            bucket = buckets[minf]
+            stored.discard(bucket.popitem(last=False)[0])
+            if not bucket:
+                del buckets[minf]
+                # Once the store is full no rank outside it counts more
+                # than minf (each failed admit adds one, and the first
+                # count above minf gets in), so gf == minf + 1 and no
+                # bucket lies between; min() covers only states the
+                # policy cannot reach.
+                minf = gf if gf == minf + 1 else min(gf, *buckets)
+        elif not stored or gf < minf:
+            minf = gf
+        stored.add(r)
+        target = buckets.get(gf)
+        if target is None:
+            target = buckets[gf] = OrderedDict()
+        target[r] = None
+
+    def finish() -> None:
+        store.restore_kernel_state(clock)
+
+    return stored, touch, admit_perfect if perfect else admit, finish
+
+
+def _bind_random(store, slots: int, *, claimed: set) -> tuple:
+    """Random eviction on the policy's live items/positions/generator.
+
+    A victim is drawn only when the store is full, so every draw is
+    ``integers(slots)``; victims come from chunks of
+    :data:`_RANDOM_DRAW_CHUNK` drawn in advance.  ``finish`` restores
+    the generator state from before the current chunk and redraws only
+    the positions used, so the stream ends exactly where the scalar
+    loop leaves it.  The swap-remove is ``RandomCache._admit``'s.
+
+    Chunks need each store to own its generator: two stores sharing
+    one interleave their draws in the scalar loop.  ``claimed`` holds
+    the ids of the generators the run has bound so far.
+    """
+    items, positions, rng = store.kernel_state()
+    if id(rng) in claimed:
+        raise SimulationError(
+            "two random stores share one generator; the batched engine "
+            "draws each store's victims in chunks, so run them with "
+            "run_scalar or give each store its own seed"
         )
+    claimed.add(id(rng))
+    bit_generator = rng.bit_generator
+    last = slots - 1
+    victims: list = []
+    used = 0
+    saved_state = None
 
-    def _lookup_local(self, c: int, r: int) -> bool:
-        return r in self._local[c][1]
+    def admit(r: int) -> None:
+        nonlocal victims, used, saved_state
+        if len(items) < slots:
+            positions[r] = len(items)
+            items.append(r)
+            return
+        if used == len(victims):
+            saved_state = bit_generator.state
+            victims = rng.integers(slots, size=_RANDOM_DRAW_CHUNK).tolist()
+            used = 0
+        v = victims[used]
+        used += 1
+        evicted = items[v]
+        if v != last:
+            moved = items[last]
+            items[v] = moved
+            positions[moved] = v
+        del positions[evicted]
+        positions[r] = last
+        items[last] = r
 
-    def _admit_local(self, c: int, r: int) -> None:
-        if self._local_slots:
-            items, positions, rng = self._local[c]
-            _random_admit(items, positions, rng, self._local_slots, r)
+    def finish() -> None:
+        if used < len(victims):
+            bit_generator.state = saved_state
+            rng.integers(slots, size=used)
 
-    def _lookup_coordinated(self, k: int, r: int) -> bool:
-        return r in self._coordinated[k][1]
-
-    def _admit_coordinated(self, k: int, r: int) -> None:
-        items, positions, rng = self._coordinated[k]
-        _random_admit(items, positions, rng, self._coordinated_slots, r)
+    return positions, _ignore, admit, finish
 
 
-class _LFUEngine(_EngineBase):
-    """In-cache LFU mirrored into frequency/last-used arrays (argmin evict)."""
+class _StoreEngine(_EngineBase):
+    """One inlined loop over per-store ``(members, touch, admit)`` bindings.
 
-    def __init__(self, routers: Sequence[CCNRouter], local_slots: int, coordinated_slots: int):
+    ``bind(store, slots)`` returns the store's membership container, the
+    hit bookkeeping (``touch``), the miss-path admission (``admit``) and
+    a ``finish`` hook; the LFU, PerfectLFU and Random engines differ
+    only in it.  Zero-slot partitions bind to an empty store whose
+    admit does nothing, like ``CachePolicy.admit`` at capacity 0.
+    """
+
+    def __init__(
+        self,
+        bind,
+        routers: Sequence[CCNRouter],
+        local_slots: int,
+        coordinated_slots: int,
+    ):
         super().__init__(local_slots, coordinated_slots)
-        self._llocal = [_LFUState(r.local_store, local_slots) for r in routers]
-        self._lcoord = (
-            [_LFUState(r.coordinated_store, coordinated_slots) for r in routers]
+        local = [
+            self._bind(bind, r.local_store, self._local_slots) for r in routers
+        ]
+        coordinated = (
+            [
+                self._bind(bind, r.coordinated_store, self._coordinated_slots)
+                for r in routers
+            ]
             if coordinated_slots
-            else None
+            else []
         )
-
-    def _lookup_local(self, c: int, r: int) -> bool:
-        st = self._llocal[c]
-        s = st.slot_of.get(r)
-        if s is None:
-            return False
-        st.clock += 1
-        st.freq[s] += 1
-        st.last_used[s] = st.clock
-        return True
-
-    def _admit_local(self, c: int, r: int) -> None:
-        if self._local_slots:
-            _lfu_admit(self._llocal[c], self._local_slots, r)
-
-    def _lookup_coordinated(self, k: int, r: int) -> bool:
-        st = self._lcoord[k]
-        s = st.slot_of.get(r)
-        if s is None:
-            return False
-        st.clock += 1
-        st.freq[s] += 1
-        st.last_used[s] = st.clock
-        return True
-
-    def _admit_coordinated(self, k: int, r: int) -> None:
-        _lfu_admit(self._lcoord[k], self._coordinated_slots, r)
-
-    def finish(self) -> None:
-        """Rebuild each policy's frequency/last-used dicts from the slots."""
-        for st in self._llocal:
-            st.write_back()
-        for st in self._lcoord or ():
-            st.write_back()
-
-
-class _PerfectLFUEngine(_EngineBase):
-    """Perfect LFU: global frequency dicts shared live, stored set mirrored."""
-
-    def __init__(self, routers: Sequence[CCNRouter], local_slots: int, coordinated_slots: int):
-        super().__init__(local_slots, coordinated_slots)
-        self._llocal = [_PLFUState(r.local_store, local_slots) for r in routers]
-        self._lcoord = (
-            [_PLFUState(r.coordinated_store, coordinated_slots) for r in routers]
-            if coordinated_slots
-            else None
+        self._lmem, self._ltouch, self._ladmit = (
+            tuple(b[i] for b in local) for i in range(3)
         )
+        self._cmem, self._ctouch, self._cadmit = (
+            tuple(b[i] for b in coordinated) for i in range(3)
+        )
+        self._finishers = tuple(b[3] for b in local + coordinated)
 
     @staticmethod
-    def _lookup(st: _PLFUState, r: int) -> bool:
-        s = st.slot_of.get(r)
-        if s is None:
-            return False
-        st.clock += 1
-        st.gfreq[r] += 1
-        st.lu[r] = st.clock
-        st.freq[s] += 1
-        st.last_used[s] = st.clock
-        return True
+    def _bind(bind, store, slots: int) -> tuple:
+        if not _checked(store, slots).capacity:
+            return frozenset(), _ignore, _ignore, _ignore
+        return bind(store, slots)
 
-    def _lookup_local(self, c: int, r: int) -> bool:
-        return self._lookup(self._llocal[c], r)
+    def process(
+        self, ranks: list, clients: list, custodians: Optional[list]
+    ) -> bytearray:
+        """Advance the stores over one batch, returning outcome codes.
 
-    def _admit_local(self, c: int, r: int) -> None:
-        if self._local_slots:
-            _plfu_admit(self._llocal[c], self._local_slots, r)
-
-    def _lookup_coordinated(self, k: int, r: int) -> bool:
-        return self._lookup(self._lcoord[k], r)
-
-    def _admit_coordinated(self, k: int, r: int) -> None:
-        _plfu_admit(self._lcoord[k], self._coordinated_slots, r)
+        The scalar ``DynamicSimulator._resolve`` flow with all routing
+        and metric work stripped out: local probe, (optionally)
+        custodian probe, admissions.
+        """
+        codes = bytearray()
+        append = codes.append
+        lmem = self._lmem
+        ltouch = self._ltouch
+        ladmit = self._ladmit
+        if custodians is None:
+            for r, c in zip(ranks, clients):
+                if r in lmem[c]:
+                    ltouch[c](r)
+                    append(0)
+                else:
+                    append(5)
+                    ladmit[c](r)
+            return codes
+        cmem = self._cmem
+        ctouch = self._ctouch
+        cadmit = self._cadmit
+        for r, c, k in zip(ranks, clients, custodians):
+            if r in lmem[c]:
+                ltouch[c](r)
+                append(0)
+                continue
+            if r in cmem[k]:
+                ctouch[k](r)
+                if c == k:
+                    append(1)
+                    continue
+                append(2)
+            else:
+                append(4 if c == k else 3)
+                cadmit[k](r)
+            ladmit[c](r)
+        return codes
 
     def finish(self) -> None:
-        """Hand the final stored sets and clocks back to the policies."""
-        for st in self._llocal:
-            st.write_back()
-        for st in self._lcoord or ():
-            st.write_back()
+        """Write clocks back and rewind unused random draws."""
+        for finish in self._finishers:
+            finish()
 
 
 _ENGINE_TYPES = {
     "lru": _LRUEngine,
-    "lfu": _LFUEngine,
-    "perfect-lfu": _PerfectLFUEngine,
+    "lfu": partial(_StoreEngine, _bind_lfu),
+    "perfect-lfu": partial(_StoreEngine, partial(_bind_lfu, perfect=True)),
     "fifo": _FIFOEngine,
-    "random": _RandomEngine,
+    # A fresh set of claimed generators for every run.
+    "random": lambda *args: _StoreEngine(
+        partial(_bind_random, claimed=set()), *args
+    ),
 }
 
 
@@ -586,8 +561,9 @@ class DynamicKernelRun:
 
     Obtained from :meth:`DynamicKernel.start_run`; drive it with
     :meth:`process` once per batch, then :meth:`finish` exactly once to
-    write mirrored cache state and per-store hit/miss counters back to
-    the fleet.  A run is a one-shot session: finishing twice would
+    settle the engine with the fleet (LFU-family clocks written back,
+    Random's unused draws rewound) and add the per-store hit/miss
+    counters.  A run is a one-shot session: finishing twice would
     double-count statistics, so it raises.
     """
 
@@ -691,7 +667,7 @@ class DynamicKernelRun:
         return kernel.aggregate(code_arr, client_idx, None, counted_from)
 
     def finish(self) -> None:
-        """Write mirrored engine state and store counters back to the fleet."""
+        """Settle engine state and add the store counters to the fleet."""
         if self._finished:
             raise SimulationError("dynamic kernel run already finished")
         self._finished = True

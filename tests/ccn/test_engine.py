@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from repro.catalog import IRMWorkload, ZipfModel
+from repro.catalog.workload import Request, TraceWorkload
 from repro.ccn import (
     BatchedCCNEngine,
     BatchedCCNResult,
     CacheQueue,
     CCNMetrics,
+    CCNNetwork,
 )
 from repro.ccn.engine import (
     N_OUTCOMES,
@@ -122,6 +124,29 @@ class TestValidation:
         for run in (engine.run_workload, engine.run_workload_reference):
             with pytest.raises(ParameterError, match="finite"):
                 run(workload, 10, interarrival_ms=bad)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            "run_schedule",
+            "run_schedule_reference",
+            "run_workload",
+            "run_workload_reference",
+        ],
+    )
+    def test_rejects_unknown_client(self, triangle, entry):
+        # The scalar network's error for the same input, not a KeyError.
+        engine = make_engine(triangle)
+        run = getattr(engine, entry)
+        message = "unknown client router 'Z'"
+        with pytest.raises(SimulationError, match=message):
+            if entry.startswith("run_schedule"):
+                run(["R1", "Z"], [1, 2], [0.0, 1.0])
+            else:
+                run(TraceWorkload([Request("R1", 1), Request("Z", 2)]), 2)
+        scalar = CCNNetwork(triangle, origin_gateway="R0")
+        with pytest.raises(SimulationError, match=message):
+            scalar.run_workload(TraceWorkload([Request("Z", 1)]), 1)
 
     def test_strategy_router_count_must_match(self, triangle):
         engine = make_engine(triangle)

@@ -12,11 +12,14 @@ exact and float totals agree to ~1e-9 relative.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.catalog.popularity import ZipfModel
 from repro.catalog.workload import IRMWorkload, Request, TraceWorkload
 from repro.errors import ParameterError, SimulationError
+from repro.simulation.cache import CachePolicy
 from repro.simulation.dynamic_batch import DynamicKernel
 from repro.simulation.simulator import DynamicSimulator
 from repro.topology import load_topology, ring_topology
@@ -217,6 +220,63 @@ class TestGeoTopologyEquivalence:
             ),
         ):
             assert b_entry == s_entry, key
+
+
+class TestFullStoresAtPolicyShape:
+    """Every store full and evicting, at the sim-policies shape.
+
+    The benchmark's own check runs a prefix on which no US-A store ever
+    fills, so a wrong eviction would pass it.  Here c = 100 against a
+    10^5 catalog fills every store: FIFO, Random and LFU stores evict
+    650-960 times each, PerfectLFU stores (which displace only a
+    strictly hotter rank) 34-58 times.
+    """
+
+    @pytest.mark.parametrize("policy", ["fifo", "random", "lfu", "perfect-lfu"])
+    def test_evicting_stores_match_scalar(self, policy, monkeypatch):
+        # The kernel never calls CachePolicy.admit, so this counts the
+        # scalar run's evictions only.
+        evictions = Counter()
+        admit = CachePolicy.admit
+
+        def counting_admit(store, rank):
+            evicted = admit(store, rank)
+            if evicted is not None:
+                evictions[id(store)] += 1
+            return evicted
+
+        monkeypatch.setattr(CachePolicy, "admit", counting_admit)
+        topology = load_topology("us-a")
+        batched_sim = make_simulator(topology, policy, capacity=100, seed=5)
+        scalar_sim = make_simulator(topology, policy, capacity=100, seed=5)
+
+        workload = lambda: IRMWorkload(
+            ZipfModel(0.8, 100_000), topology.nodes, seed=11
+        )
+        batched = batched_sim.run(
+            workload(), 20_000, warmup=137, batch_size=7_001
+        )
+        scalar = scalar_sim.run_scalar(
+            workload(), 20_000, warmup=137, batch_size=7_001
+        )
+
+        assert (batched.local_hits, batched.peer_hits, batched.origin_hits) == (
+            scalar.local_hits,
+            scalar.peer_hits,
+            scalar.origin_hits,
+        )
+        assert batched.served_by == scalar.served_by
+        assert batched.total_latency_ms == pytest.approx(
+            scalar.total_latency_ms, rel=1e-9
+        )
+        assert store_counters(batched_sim) == store_counters(scalar_sim)
+        assert internal_state(batched_sim) == internal_state(scalar_sim)
+        for router in scalar_sim.fleet.values():
+            for store in (router.local_store, router.coordinated_store):
+                assert evictions[id(store)] >= 30
+        for router in batched_sim.fleet.values():
+            for store in (router.local_store, router.coordinated_store):
+                assert len(store) == store.capacity == 50
 
 
 class TestRunModeSelection:
