@@ -10,6 +10,8 @@ within 1e-9.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.core.batch_solver import (
     _closed_form_columns,
     evaluate_gains_batch,
     existence_mask,
+    resolve_incremental,
     solve_batch,
 )
 from repro.core.conditions import check_existence
@@ -314,3 +317,74 @@ class TestObservability:
         assert snap["counters"].get("solver.batch.points") == 3.0
         assert "solver.batch.iterations" in snap["gauges"]
         assert "solver.batch" in snap["spans"]
+
+
+def strategy_digest(strategy: BatchStrategy) -> str:
+    """sha256 over the level, storage and objective columns."""
+    digest = hashlib.sha256()
+    for column in (strategy.level, strategy.storage, strategy.objective_value):
+        digest.update(np.ascontiguousarray(column).tobytes())
+    return digest.hexdigest()
+
+
+class TestGridPlanPin:
+    """Bitwise pins at grid-plan shape (50 α × 40 s × 50 γ = 100k points).
+
+    The exponent axis reaches down to s = 0.05, so the grid holds every
+    branch of the first-order solve: α = 0 (2,000 points), d(0) ≥ 0,
+    clip-at-c (2,942) and Theorem 2 warm starts (9,058).  The digests
+    were recorded before the bisection moved to compacted, buffered
+    sweeps; each point keeps the same float64 operations, so the bits
+    may not move.
+    """
+
+    @pytest.fixture(scope="class")
+    def grid(self) -> ScenarioGrid:
+        exponent = np.linspace(0.05, 1.9, 40)
+        exponent = np.where(np.abs(exponent - 1.0) < 0.02, 1.03, exponent)
+        base = BASE.replace(n_routers=164, catalog_size=517_947, capacity=1464.0)
+        return ScenarioGrid.from_product(
+            base,
+            alpha=np.linspace(0.0, 1.0, 50),
+            exponent=exponent,
+            gamma=np.linspace(1.0, 12.0, 50),
+        )
+
+    @pytest.fixture(scope="class")
+    def cold(self, grid) -> BatchStrategy:
+        return solve_batch(grid, check_conditions=False)
+
+    def test_warm_started_solve(self, cold):
+        assert cold.iterations == 40
+        assert strategy_digest(cold) == (
+            "5b3144005a291d6ae7a49b1f63cc8f932fee6046ecb702258fb82f3ee275963e"
+        )
+
+    def test_plain_bisection(self, grid):
+        plain = solve_batch(grid, check_conditions=False, warm_start=False)
+        assert plain.iterations == 40
+        assert strategy_digest(plain) == (
+            "9eb113229165be558d25969a9f8f6a4fed38249d3414c883465d9f408ac2501c"
+        )
+
+    def test_resolve_after_a_gamma_step(self, grid, cold):
+        mask = np.zeros(len(grid), dtype=bool)
+        mask[::20] = True
+        gamma = np.array(grid.gamma)
+        gamma[mask] *= 1.03
+        warm = resolve_incremental(
+            grid.replace(gamma=gamma), cold, mask, check_conditions=False
+        )
+        assert warm.iterations == 14
+        assert strategy_digest(warm) == (
+            "a4c4616438e86ad1f31e04343721fdd0c3b59aab498ad77e1e8a6d0370dcfab0"
+        )
+
+    def test_resolve_from_a_flat_seed_reaches_the_bisection_ladder(self, grid):
+        warm = resolve_incremental(
+            grid, np.full(len(grid), 0.5), check_conditions=False
+        )
+        assert warm.iterations == 57
+        assert strategy_digest(warm) == (
+            "c497b6081883870f198c444ba8addbcb65e280b315ef512c9f6d2280e7c31a6d"
+        )
