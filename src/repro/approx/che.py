@@ -172,7 +172,11 @@ def hit_probabilities(
         raise ParameterError(f"characteristic time must be non-negative, got {t_c}")
     if math.isinf(t_c):
         return np.where(rates > 0.0, 1.0, 0.0)
-    x = rates * t_c
+    return _hit_form(rates * t_c, policy)
+
+
+def _hit_form(x: np.ndarray, policy: str) -> np.ndarray:
+    """The policy's hit probability ``h(x)`` at ``x = λ_i T`` (finite ``T``)."""
     if policy == "lru":
         return -np.expm1(-x)
     return x / (1.0 + x)
@@ -182,10 +186,7 @@ def _occupancy(
     x: np.ndarray, weights: Optional[np.ndarray], policy: str, axis: int = -1
 ) -> np.ndarray:
     """``Σ_i w_i h_i`` and its derivative factor input ``x = λ_i T``."""
-    if policy == "lru":
-        h = -np.expm1(-x)
-    else:
-        h = x / (1.0 + x)
+    h = _hit_form(x, policy)
     if weights is not None:
         h = h * weights
     return h.sum(axis=axis)
@@ -328,12 +329,14 @@ def solve_fixed_point_batch(
     """Vectorized :func:`solve_fixed_point` over a stack of caches.
 
     ``rates`` has shape ``(P, K)`` — one row of per-content arrival
-    rates per cache — and ``capacities`` shape ``(P,)``.  All rows
-    iterate in lock step (a converged row simply stops moving), exactly
-    like the batched bisection loops of
-    :mod:`repro.core.batch_solver`.  Returns ``(T, iterations,
-    residuals)`` where ``T[p]`` may be ``0``/``inf`` on the degenerate
-    branches and ``iterations`` counts the shared damped-Newton sweeps.
+    rates per cache — and ``capacities`` shape ``(P,)``.  The rows that
+    still need a root iterate in lock step, and each row sees exactly
+    the float64 operations of :func:`solve_fixed_point`, so its ``T``
+    and residual are bit-identical to the scalar solve.  A row leaves
+    the sweep once it converges; degenerate rows never enter it.
+    Returns ``(T, iterations, residuals)`` where ``T[p]`` may be
+    ``0``/``inf`` on the degenerate branches and ``iterations`` sums
+    the damped-Newton steps of all rows, as the scalar solves would.
     """
     policy = _validate_policy(policy)
     if policy == "perfect-lfu":
@@ -361,6 +364,8 @@ def solve_fixed_point_batch(
                 f"weights shape {weights.shape} does not match rates "
                 f"shape {rates.shape}"
             )
+        if np.any(weights < 0.0) or np.any(~np.isfinite(weights)):
+            raise ParameterError("weights must be finite and non-negative")
     support = (
         (rates > 0.0).sum(axis=1).astype(np.float64)
         if weights is None
@@ -370,49 +375,55 @@ def solve_fixed_point_batch(
     empty = capacities <= 0.0
     full = ~empty & (capacities >= support)
     t[full] = np.inf
-    solving = ~(empty | full)
     residuals = np.zeros(rates.shape[0], dtype=np.float64)
     residuals[full] = np.abs(support[full] - capacities[full])
     iterations = 0
-    if np.any(solving):
-        total_rate = (
-            rates.sum(axis=1) if weights is None else (rates * weights).sum(axis=1)
-        )
-        t_lo = np.zeros(rates.shape[0], dtype=np.float64)
-        t_hi = np.where(solving, capacities / np.where(solving, total_rate, 1.0), 1.0)
+    rows = np.flatnonzero(~(empty | full))
+    if rows.size:
+        # Only the rows being solved are swept, so no sweep multiplies a
+        # finished row's infinite T by a zero rate.
+        rate = rates[rows]
+        weight = None if weights is None else weights[rows]
+        capacity = capacities[rows]
+        total_rate = rate.sum(axis=1) if weight is None else (rate * weight).sum(axis=1)
+        t_lo = np.zeros(rows.size, dtype=np.float64)
+        t_hi = capacity / total_rate
         for _ in range(1024):
-            occ = _occupancy(rates * t_hi[:, None], weights, policy)
-            grow = solving & (occ < capacities)
+            grow = _occupancy(rate * t_hi[:, None], weight, policy) < capacity
             if not np.any(grow):
                 break
             t_lo[grow] = t_hi[grow]
             t_hi[grow] *= 2.0
-        t_mid = 0.5 * (t_lo + t_hi)
-        t[solving] = t_mid[solving]
-        pending = solving.copy()
-        for iterations in range(1, max_iterations + 1):
-            x = rates * t[:, None]
-            g = _occupancy(x, weights, policy) - capacities
+        t_row = 0.5 * (t_lo + t_hi)
+        for _ in range(max_iterations):
+            iterations += rows.size
+            x = rate * t_row[:, None]
+            g = _occupancy(x, weight, policy) - capacity
             res = np.abs(g)
-            residuals[pending] = res[pending]
-            pending &= res > tolerance
-            if not np.any(pending):
-                break
-            above = pending & (g > 0.0)
-            below = pending & (g <= 0.0)
-            t_hi[above] = t[above]
-            t_lo[below] = t[below]
-            slope = _occupancy_slope(x, rates, weights, policy)
+            done = res <= tolerance
+            if np.any(done):
+                t[rows[done]] = t_row[done]
+                residuals[rows[done]] = res[done]
+                keep = ~done
+                if not np.any(keep):
+                    break
+                rows, rate, capacity, t_row, t_lo, t_hi, x, g = (
+                    column[keep]
+                    for column in (rows, rate, capacity, t_row, t_lo, t_hi, x, g)
+                )
+                weight = None if weight is None else weight[keep]
+            above = g > 0.0
+            t_hi = np.where(above, t_row, t_hi)
+            t_lo = np.where(above, t_lo, t_row)
+            slope = _occupancy_slope(x, rate, weight, policy)
             with np.errstate(divide="ignore", invalid="ignore"):
-                step = t - g / slope
+                step = t_row - g / slope
             inside = (slope > 0.0) & (t_lo < step) & (step < t_hi)
-            t = np.where(
-                pending, np.where(inside, step, 0.5 * (t_lo + t_hi)), t
-            )
+            t_row = np.where(inside, step, 0.5 * (t_lo + t_hi))
         else:
             raise ConvergenceError(
                 f"batched characteristic-time solve left "
-                f"{int(pending.sum())} of {rates.shape[0]} caches above "
+                f"{rows.size} of {rates.shape[0]} caches above "
                 f"|residual| = {tolerance} after {max_iterations} iterations"
             )
     obs = get_session()

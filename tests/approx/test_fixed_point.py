@@ -1,6 +1,7 @@
 """Unit tests for the Che/TTL characteristic-time fixed points."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -148,6 +149,46 @@ class TestBatchEquivalence:
         assert t[0] == 0.0
         assert 0.0 < t[1] < math.inf
         assert math.isinf(t[2])
+
+    @pytest.mark.parametrize("policy", ["lru", "random"])
+    def test_rows_are_bit_identical_to_scalar_solves(self, policy):
+        # Weighted quadrature-like rows, with an empty and a full row in
+        # the stack: the solved rows must equal the scalar solves bit
+        # for bit, and the iteration total must equal their sum.
+        rates = np.stack([zipf_rates(s, 300) for s in (0.6, 0.9, 1.3, 1.8)] * 2)
+        weights = np.broadcast_to(np.arange(1.0, 301.0) % 7.0 + 1.0, rates.shape)
+        support = weights[0].sum()
+        capacities = np.array([0.0, 5.0, 40.0, 160.0, 700.0, support, 1.0, 90.0])
+        t, iterations, residuals = solve_fixed_point_batch(
+            rates, capacities, policy=policy, weights=weights
+        )
+        total = 0
+        for row in range(rates.shape[0]):
+            scalar = solve_fixed_point(
+                rates[row], capacities[row], policy=policy, weights=weights[row]
+            )
+            assert t[row] == scalar.value
+            assert residuals[row] == scalar.residual
+            total += scalar.iterations
+        assert iterations == total
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_batch_rejects_bad_weights(self, bad):
+        with pytest.raises(ParameterError, match="weights must be finite"):
+            solve_fixed_point_batch(
+                np.ones((1, 3)), np.array([1.0]), weights=np.full((1, 3), bad)
+            )
+
+    def test_batch_sweeps_no_finished_row(self):
+        # Row 0 holds its whole support (T = inf, with a zero rate); it
+        # must not enter the sweep, where inf·0 would warn.
+        rates = np.array([[1.0, 0.0, 0.5], [1.0, 1.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t, iterations, _ = solve_fixed_point_batch(rates, np.array([5.0, 1.0]))
+        assert math.isinf(t[0])
+        assert t[1] == solve_fixed_point(rates[1], 1.0).value
+        assert iterations == solve_fixed_point(rates[1], 1.0).iterations
 
     def test_batch_weighted_matches_expanded(self):
         # Weights are multiplicities: [rate r, weight 3] == three unit
